@@ -1,43 +1,12 @@
 #include "core/condensed_trainer.h"
 
 #include <algorithm>
-#include <utility>
-#include <vector>
 
-#include "autograd/ops.h"
-#include "core/schedule.h"
-#include "graph/pagerank.h"
-#include "memory/workspace.h"
 #include "nn/metrics.h"
-#include "observe/trace.h"
-#include "parallel/task_group.h"
-#include "tensor/ops.h"
 #include "util/logging.h"
-#include "util/random.h"
 #include "util/timer.h"
 
 namespace rdd {
-
-namespace {
-
-std::vector<bool> AllReliable(int64_t n) {
-  return std::vector<bool>(static_cast<size_t>(n), true);
-}
-
-std::vector<int64_t> AllNodes(int64_t n) {
-  std::vector<int64_t> nodes(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) nodes[static_cast<size_t>(i)] = i;
-  return nodes;
-}
-
-std::vector<std::pair<int64_t, int64_t>> AllEdges(const Graph& graph) {
-  std::vector<std::pair<int64_t, int64_t>> edges;
-  edges.reserve(static_cast<size_t>(graph.num_edges()));
-  for (const Edge& e : graph.edges()) edges.emplace_back(e.u, e.v);
-  return edges;
-}
-
-}  // namespace
 
 CondensedRddResult TrainRddCondensed(
     const Dataset& dataset, const GraphContext& context,
@@ -51,7 +20,6 @@ CondensedRddResult TrainRddCondensed(
   }
   RDD_CHECK_GT(config.num_base_models, 0);
   WallTimer timer;
-  memory::Workspace workspace;
 
   WallTimer condense_timer;
   const condense::CondensedGraph condensed =
@@ -64,31 +32,13 @@ CondensedRddResult TrainRddCondensed(
   out.achieved_ratio = condensed.achieved_ratio;
   out.condense_seconds = condense_timer.ElapsedSeconds();
 
-  Rng seeder(seed);
-  std::vector<uint64_t> student_seeds(
-      static_cast<size_t>(config.num_base_models));
-  for (uint64_t& s : student_seeds) s = seeder.NextU64();
-  RddResult& result = out.rdd;
-
-  // Full-graph machinery for evaluation and ensemble weighting: the
-  // identity view every student forwards over when it leaves the condensed
-  // graph, and the PageRank behind Eq. 12.
-  const GraphView full_view = context.FullView();
-  const std::vector<double> pagerank = PageRank(dataset.graph);
-
-  // Condensed-graph machinery for training: Algorithms 1-3 run over the
-  // synthetic nodes and edges exactly as TrainRdd runs them over the full
-  // graph, with the loss normalizers following the condensed sizes.
-  const std::vector<bool> train_mask = small.TrainMask();
-  const std::vector<int64_t> all_nodes = AllNodes(small.NumNodes());
-  const bool use_l2 = config.gamma_initial != 0.0f;
-  const bool use_lreg = config.beta != 0.0f;
-  const float k = static_cast<float>(context.num_classes);
-  const float train_size =
-      static_cast<float>(std::max<size_t>(small.split.train.size(), 1));
-  const float l2_normalizer = train_size * k;
-  const float lreg_normalizer =
-      static_cast<float>(std::max<int64_t>(1, small.graph.num_edges())) * k;
+  // Algorithms 1-3 run over the synthetic nodes and edges exactly as
+  // TrainRdd runs them over the full graph, with the loss normalizers
+  // following the condensed sizes; the chain delivers, weights and scores
+  // every student on the full graph.
+  ChainSource source(dataset, context, config.train);
+  source.train_data = &small;
+  source.train_context = &small_context;
 
   // Early stopping watches the FULL graph's validation split; the final
   // report column is the full test split. One full-graph forward per
@@ -97,170 +47,22 @@ CondensedRddResult TrainRddCondensed(
   // the stagnation window in EPOCHS equal to the caller's config — without
   // this, eval_every = 5 would quietly 5x the window and burn the epochs the
   // condensation just saved.
-  TrainConfig train_config = config.train;
-  train_config.patience = std::max(
+  source.train.patience = std::max(
       1, config.train.patience / std::max(1, condense_config.eval_every));
-  EvalHooks hooks;
-  hooks.eval_every = condense_config.eval_every;
-  hooks.validate = [&](GraphModel* model) {
+  const GraphView full_view = context.FullView();
+  source.hooks.eval_every = condense_config.eval_every;
+  source.hooks.validate = [&](GraphModel* model) {
     const ModelOutput output = model->Forward(full_view, /*training=*/false);
     return Accuracy(output.logits.value(), dataset.labels, dataset.split.val);
   };
-  hooks.test = [&](GraphModel* model) {
+  source.hooks.test = [&](GraphModel* model) {
     const ModelOutput output = model->Forward(full_view, /*training=*/false);
     return Accuracy(output.logits.value(), dataset.labels,
                     dataset.split.test);
   };
 
-  // The condensed-row teacher drives reliability and distillation while a
-  // student trains; the full-row teacher is the deliverable ensemble.
-  Teacher teacher_small;
-
-  Matrix last_student_probs;
-  for (int t = 0; t < config.num_base_models; ++t) {
-    observe::TraceSpan student_span("rdd/student_condensed", t);
-    auto student = BuildModel(small_context, config.base_model,
-                              student_seeds[static_cast<size_t>(t)]);
-    StudentDiagnostics diag;
-
-    if (t == 0) {
-      auto supervised = [&](const ModelOutput& output, int /*epoch*/) {
-        return ag::SoftmaxCrossEntropy(output.logits, small.labels,
-                                       small.split.train,
-                                       ag::Reduction::kMean);
-      };
-      result.reports.push_back(TrainWithLoss(student.get(), small,
-                                             train_config, supervised, hooks));
-    } else {
-      Matrix teacher_probs;
-      Matrix teacher_embeddings;
-      {
-        observe::TraceSpan span("rdd/teacher_views");
-        parallel::TaskGroup group;
-        group.Run([&] { teacher_probs = teacher_small.PredictProbs(); });
-        group.Run(
-            [&] { teacher_embeddings = teacher_small.PredictEmbeddings(); });
-        group.Wait();
-      }
-      GraphModel* student_ptr = student.get();
-      const int anneal_horizon = config.anneal_horizon_epochs > 0
-                                     ? config.anneal_horizon_epochs
-                                     : config.train.max_epochs;
-
-      auto loss_fn = [&, student_ptr](const ModelOutput& output, int epoch) {
-        const Matrix student_probs = SoftmaxRows(
-            student_ptr->Forward(/*training=*/false).logits.value());
-        std::vector<bool> reliable;
-        std::vector<int64_t> distill_nodes;
-        if (config.use_node_reliability) {
-          observe::TraceSpan span("rdd/node_reliability", epoch);
-          NodeReliability rel = ComputeNodeReliability(
-              teacher_probs, student_probs, small.labels, train_mask,
-              config.reliability);
-          reliable = std::move(rel.reliable);
-          distill_nodes = std::move(rel.distill_nodes);
-        } else {
-          reliable = AllReliable(small.NumNodes());
-          distill_nodes = all_nodes;
-        }
-
-        std::vector<Variable> terms;
-        std::vector<float> coeffs;
-        terms.push_back(ag::SoftmaxCrossEntropy(output.logits, small.labels,
-                                                small.split.train,
-                                                ag::Reduction::kMean));
-        coeffs.push_back(1.0f);
-        if (use_l2 && !distill_nodes.empty()) {
-          const float gamma =
-              config.anneal_gamma
-                  ? CosineAnnealedGamma(config.gamma_initial,
-                                        std::min(epoch, anneal_horizon - 1),
-                                        anneal_horizon)
-                  : config.gamma_initial;
-          if (gamma > 0.0f) {
-            observe::TraceSpan span("rdd/node_distill_loss");
-            if (config.distill_loss == DistillLoss::kEmbeddingMse) {
-              terms.push_back(ag::RowSquaredError(output.embedding,
-                                                  teacher_embeddings,
-                                                  distill_nodes,
-                                                  ag::Reduction::kSum));
-              coeffs.push_back(gamma / l2_normalizer);
-            } else {
-              constexpr float kDistillScale = 16.0f;
-              terms.push_back(ag::SoftCrossEntropy(output.logits,
-                                                   teacher_probs,
-                                                   distill_nodes,
-                                                   ag::Reduction::kSum));
-              coeffs.push_back(gamma * kDistillScale / train_size);
-            }
-          }
-        }
-        if (use_lreg) {
-          observe::TraceSpan span("rdd/edge_reg_loss");
-          const std::vector<int64_t> student_preds = ArgmaxRows(student_probs);
-          std::vector<std::pair<int64_t, int64_t>> edges;
-          {
-            observe::TraceSpan edges_span("rdd/edge_reliability", epoch);
-            edges = config.use_edge_reliability
-                        ? ComputeReliableEdges(small.graph, reliable,
-                                               student_preds)
-                        : AllEdges(small.graph);
-          }
-          diag.reliable_edges = static_cast<int64_t>(edges.size());
-          if (!edges.empty()) {
-            if (config.edge_reg_target == EdgeRegTarget::kEmbedding) {
-              terms.push_back(ag::EdgeLaplacian(output.embedding, edges,
-                                                ag::Reduction::kSum));
-            } else {
-              terms.push_back(ag::EdgeLaplacian(ag::Softmax(output.logits),
-                                                edges, ag::Reduction::kSum));
-            }
-            coeffs.push_back(config.beta / lreg_normalizer);
-          }
-        }
-        diag.reliable_nodes = static_cast<int64_t>(
-            std::count(reliable.begin(), reliable.end(), true));
-        diag.distill_nodes = static_cast<int64_t>(distill_nodes.size());
-        return ag::WeightedSum(terms, coeffs);
-      };
-      result.reports.push_back(TrainWithLoss(student.get(), small,
-                                             train_config, loss_fn, hooks));
-    }
-
-    // Ensemble update: the frozen student forwards once over the condensed
-    // graph (feeding the next student's reliability/distillation teacher)
-    // and once over the full graph (feeding the deliverable ensemble and
-    // its Eq. 12 weight).
-    observe::TraceSpan ensemble_span("rdd/ensemble_update", t);
-    const ModelOutput full_output =
-        student->Forward(full_view, /*training=*/false);
-    Matrix probs = SoftmaxRows(full_output.logits.value());
-    const double alpha = config.use_entropy_pagerank_weights
-                             ? ComputeEnsembleWeight(probs, pagerank)
-                             : 1.0;
-    // Both teachers share the same Eq. 12 weight so the condensed-row
-    // mixture the next student distills from matches the deliverable one.
-    const ModelOutput small_output = student->Forward(/*training=*/false);
-    teacher_small.AddMember(SoftmaxRows(small_output.logits.value()),
-                            small_output.embedding.value(), alpha);
-    result.alphas.push_back(alpha);
-    last_student_probs = probs;
-    result.teacher.AddMember(std::move(probs),
-                             full_output.embedding.value(), alpha);
-    result.diagnostics.push_back(diag);
-    result.students.push_back(std::move(student));
-    result.ensemble_accuracy_after_member.push_back(
-        result.teacher.Accuracy(dataset.labels, dataset.split.test));
-  }
-
-  result.ensemble_test_accuracy =
-      result.teacher.Accuracy(dataset.labels, dataset.split.test);
-  result.single_test_accuracy =
-      Accuracy(last_student_probs, dataset.labels, dataset.split.test);
-  result.average_member_test_accuracy =
-      result.teacher.AverageMemberAccuracy(dataset.labels,
-                                           dataset.split.test);
-  result.total_seconds = timer.ElapsedSeconds();
+  out.rdd = TrainStudentChain(source, config, RddResult{}, seed);
+  out.rdd.total_seconds = timer.ElapsedSeconds();
   return out;
 }
 

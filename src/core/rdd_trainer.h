@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/rdd_config.h"
@@ -46,6 +47,66 @@ struct RddResult {
   /// Table 9 reads how many members a method needs to reach a target.
   std::vector<double> ensemble_accuracy_after_member;
 };
+
+/// Where an Algorithm 3 student chain trains. TrainRdd, TrainRddMiniBatch,
+/// TrainRddCondensed and stream::IncrementalRddOnDelta each build one and
+/// hand it to TrainStudentChain; nothing else differs between them.
+struct ChainSource {
+  /// Full-graph training on `dataset`, every field below at its default.
+  ChainSource(const Dataset& dataset, const GraphContext& context,
+              const TrainConfig& train)
+      : dataset(&dataset),
+        context(&context),
+        train_data(&dataset),
+        train_context(&context),
+        train(train) {}
+
+  /// The graph students are delivered on: Eq. 12 weights, the result's
+  /// teacher and every accuracy in the result are over its full view.
+  const Dataset* dataset;
+  const GraphContext* context;
+  /// The graph students are built over and the losses read (labels, split,
+  /// edges). Only condensed training sets it apart from `dataset`; the
+  /// chain then also caches each member over these rows, as the teacher
+  /// Algorithms 1-2 and the L2 term compare against.
+  const Dataset* train_data;
+  const GraphContext* train_context;
+  /// Epoch budget, optimizer and early stopping of every student, and how
+  /// they are evaluated.
+  TrainConfig train;
+  EvalHooks hooks;
+  /// Training views of the supervised-only first student of a fresh chain,
+  /// and of every distilling student. Empty trains on the full view of
+  /// `train_data`, one step per epoch.
+  EpochViews supervised_views;
+  EpochViews views;
+  /// Unset: frontier rows (view rows >= num_targets) leave the distillation
+  /// set — in mini-batch training they recur as targets of other batches,
+  /// so one epoch distills each node once. Set: frontier rows stay, their
+  /// soft cross-entropy weighted by this value, pinning a region view to
+  /// the unchanged graph around it. Full views have no frontier rows.
+  std::optional<float> frontier_boost;
+};
+
+/// Algorithm 3 over `source`: trains a chain of students, each under the
+/// L1 + gamma * L2 + beta * Lreg loss over the reliable nodes and edges
+/// (Algorithms 1-2) of its training views, distilling from the ensemble of
+/// the chain so far, and adds each finished student to the ensemble with
+/// its Eq. 12 weight.
+///
+/// An empty `initial` runs a fresh chain of config.num_base_models
+/// students: student 0 is supervised-only (line 2 of Algorithm 3) and
+/// gamma follows the Eq. 14 schedule. A trained `initial` runs a warm
+/// chain: student t starts from a copy of initial.students[t], the teacher
+/// is the whole ensemble with members < t already retrained and every
+/// member weight frozen at initial.alphas, gamma is constant, and the Eq.
+/// 12 weights are recomputed once the chain finishes.
+///
+/// Each student's seed is drawn from `seed` up front, in chain order.
+/// Observability: one "rdd/student" span per student, nesting
+/// "rdd/teacher_views", every "train/epoch", and "rdd/ensemble_update".
+RddResult TrainStudentChain(const ChainSource& source, const RddConfig& config,
+                            const RddResult& initial, uint64_t seed);
 
 /// Runs Algorithm 3: trains `config.num_base_models` students, each under
 /// the reliability-filtered supervision of the ensemble of its

@@ -116,6 +116,7 @@ class PayloadReader {
   }
 
   bool AtEnd() const { return pos_ == size_; }
+  size_t remaining() const { return size_ - pos_; }
 
  private:
   const uint8_t* data_;
@@ -411,20 +412,15 @@ std::vector<uint8_t> Daemon::HandleRequest(
       if (!reader.ReadU32(&count)) {
         return StatusResponse(DaemonStatus::kInvalid, "short predict frame");
       }
-      std::vector<int64_t> nodes;
-      nodes.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        int64_t node;
-        if (!reader.ReadI64(&node)) {
-          return StatusResponse(DaemonStatus::kInvalid,
-                                "short predict frame");
-        }
-        nodes.push_back(node);
+      // The count is checked against the bytes actually present BEFORE
+      // anything is allocated: a hostile count must not size a buffer.
+      if (static_cast<uint64_t>(count) * 8 != reader.remaining()) {
+        return StatusResponse(
+            DaemonStatus::kInvalid,
+            "predict frame length does not match its node count");
       }
-      if (!reader.AtEnd()) {
-        return StatusResponse(DaemonStatus::kInvalid,
-                              "trailing bytes in predict frame");
-      }
+      std::vector<int64_t> nodes(count);
+      for (int64_t& node : nodes) reader.ReadI64(&node);
       StatusOr<std::vector<int64_t>> labels = PredictLabels(nodes);
       if (!labels.ok()) {
         return StatusResponse(DaemonStatus::kInvalid,

@@ -1,26 +1,14 @@
 #include "stream/incremental_rdd.h"
 
 #include <algorithm>
-#include <functional>
-#include <memory>
+#include <iterator>
 #include <utility>
 #include <vector>
 
-#include "autograd/ops.h"
-#include "core/reliability.h"
-#include "core/teacher.h"
 #include "graph/graph_view.h"
-#include "graph/pagerank.h"
-#include "memory/workspace.h"
-#include "models/model_factory.h"
-#include "nn/metrics.h"
-#include "nn/optimizer.h"
 #include "observe/trace.h"
-#include "tensor/ops.h"
-#include "train/trainer.h"
 #include "util/env.h"
 #include "util/logging.h"
-#include "util/random.h"
 #include "util/timer.h"
 
 namespace rdd::stream {
@@ -36,109 +24,6 @@ IncrementalConfig IncrementalConfigFromEnv() {
   return config;
 }
 
-namespace {
-
-/// Rows of `m` in view-local order (copy slice; matches the rdd_trainer
-/// helper of the same name).
-Matrix GatherMatrixRows(const Matrix& m, const GraphView& view) {
-  if (view.full()) return m;
-  Matrix out(view.num_nodes, m.cols());
-  for (int64_t i = 0; i < view.num_nodes; ++i) {
-    const float* src = m.RowData(view.GlobalId(i));
-    float* dst = out.RowData(i);
-    for (int64_t c = 0; c < m.cols(); ++c) dst[c] = src[c];
-  }
-  return out;
-}
-
-std::vector<bool> AllReliable(int64_t n) {
-  return std::vector<bool>(static_cast<size_t>(n), true);
-}
-
-std::vector<int64_t> AllNodes(int64_t n) {
-  std::vector<int64_t> nodes(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) nodes[static_cast<size_t>(i)] = i;
-  return nodes;
-}
-
-/// Clones a trained student onto the NEW graph: builds a fresh model over
-/// `context` (dropout stream seeded by `seed`) and copies the old weights
-/// in. Parameters are view- and graph-size-independent, so they transfer
-/// verbatim; an architecture mismatch aborts in RestoreParameters.
-std::unique_ptr<GraphModel> WarmClone(const GraphContext& context,
-                                      const ModelConfig& arch,
-                                      GraphModel* previous, uint64_t seed) {
-  auto model = BuildModel(context, arch, seed);
-  std::vector<Variable> params = model->Parameters();
-  RestoreParameters(SnapshotParameters(previous->Parameters()), &params);
-  return model;
-}
-
-/// The fine-tune inner loop: TrainWithLoss's epoch structure (Adam, early
-/// stopping with amortized evaluation, best-weight restore), but the
-/// training forward runs over the REGION view while validation and the
-/// final test metric run over the full graph — the same train-small /
-/// validate-full split the condensed trainer uses via EvalHooks.
-TrainReport FineTuneOnView(
-    GraphModel* model, const Dataset& dataset, const GraphView& view,
-    const TrainConfig& train, const IncrementalConfig& inc,
-    const std::function<Variable(const ModelOutput&, int)>& loss_fn) {
-  WallTimer timer;
-  memory::Workspace workspace;
-  Adam optimizer(model->Parameters(), train.lr, train.weight_decay);
-
-  TrainReport report;
-  report.val_history.reserve(static_cast<size_t>(inc.max_epochs));
-  std::vector<Matrix> best_params;
-  int evals_since_best = 0;
-  double last_val = 0.0;
-  for (int epoch = 0; epoch < inc.max_epochs; ++epoch) {
-    observe::TraceSpan epoch_span("stream/finetune_epoch", epoch);
-    ModelOutput output = model->Forward(view, /*training=*/true);
-    Variable loss = loss_fn(output, epoch);
-    {
-      observe::TraceSpan span("train/backward_step");
-      loss.Backward();
-      optimizer.Step();
-    }
-    const bool evaluate =
-        epoch % inc.eval_every == 0 || epoch + 1 == inc.max_epochs;
-    if (evaluate) {
-      observe::TraceSpan span("train/validate");
-      last_val = EvaluateAccuracy(model, dataset, dataset.split.val);
-    }
-    report.val_history.push_back(last_val);
-    report.epochs_run = epoch + 1;
-    if (!evaluate) continue;
-    if (last_val > report.best_val_accuracy) {
-      report.best_val_accuracy = last_val;
-      evals_since_best = 0;
-      if (train.restore_best) {
-        const std::vector<Variable> params = model->Parameters();
-        if (best_params.empty()) {
-          best_params = SnapshotParameters(params);
-        } else {
-          for (size_t i = 0; i < best_params.size(); ++i) {
-            best_params[i] = params[i].value();
-          }
-        }
-      }
-    } else if (++evals_since_best >= inc.patience) {
-      break;
-    }
-  }
-  if (train.restore_best && !best_params.empty()) {
-    std::vector<Variable> params = model->Parameters();
-    RestoreParameters(std::move(best_params), &params);
-  }
-  report.test_accuracy =
-      EvaluateAccuracy(model, dataset, dataset.split.test);
-  report.train_seconds = timer.ElapsedSeconds();
-  return report;
-}
-
-}  // namespace
-
 IncrementalResult IncrementalRddOnDelta(const StreamingGraph& stream,
                                         const GraphDelta& delta,
                                         int64_t num_nodes_before,
@@ -146,8 +31,7 @@ IncrementalResult IncrementalRddOnDelta(const StreamingGraph& stream,
                                         const RddConfig& config,
                                         const IncrementalConfig& inc,
                                         uint64_t seed) {
-  const int num_students = static_cast<int>(previous.students.size());
-  RDD_CHECK_GT(num_students, 0);
+  RDD_CHECK(!previous.students.empty());
   WallTimer timer;
   IncrementalResult out;
   if (delta.empty()) {
@@ -180,204 +64,25 @@ IncrementalResult IncrementalRddOnDelta(const StreamingGraph& stream,
   out.target_nodes = num_targets;
   RDD_CHECK_GT(num_targets, 0);
 
-  memory::Workspace workspace;
-  Rng seeder(seed);
-  std::vector<uint64_t> student_seeds(static_cast<size_t>(num_students));
-  for (uint64_t& s : student_seeds) s = seeder.NextU64();
-
+  // Every student fine-tunes over the region's induced view while
+  // validation and the final test metric run over the full graph — the
+  // same train-small / validate-full split the condensed trainer uses.
+  ChainSource source(dataset, context, config.train);
+  source.train.max_epochs = inc.max_epochs;
+  source.train.patience = inc.patience;
+  source.hooks.eval_every = inc.eval_every;
   const GraphView view =
       MakeInducedView(dataset.graph, *context.features, context.num_classes,
                       std::move(region), num_targets);
-  const std::vector<int64_t> labels_v = view.GatherInt64(dataset.labels);
-  const std::vector<bool> train_mask_v = view.GatherMask(dataset.TrainMask());
-  std::vector<int64_t> labeled_targets;
-  for (int64_t i = 0; i < view.num_targets; ++i) {
-    if (train_mask_v[static_cast<size_t>(i)]) labeled_targets.push_back(i);
-  }
-  const std::vector<std::pair<int64_t, int64_t>> view_edges = ViewEdges(view);
-  // Distillation weights by view row: frontier rows carry inc.frontier_boost
-  // so the region's boundary is pinned to the teacher hardest.
-  std::vector<float> distill_weights(static_cast<size_t>(view.num_nodes),
-                                     1.0f);
-  for (int64_t i = view.num_targets; i < view.num_nodes; ++i) {
-    distill_weights[static_cast<size_t>(i)] = inc.frontier_boost;
-  }
+  source.views = [&view](int /*epoch*/, const TrainStep& step) { step(view); };
+  // Frontier rows are the rows whose behavior must not move, so unlike the
+  // mini-batch trainer they stay in the distillation set, upweighted.
+  source.frontier_boost = inc.frontier_boost;
 
-  const std::vector<double> pagerank = PageRank(dataset.graph);
-  const bool use_l2 = config.gamma_initial != 0.0f;
-  const bool use_lreg = config.beta != 0.0f;
-  const float k = static_cast<float>(context.num_classes);
-  // Same per-batch rescaling as TrainRddMiniBatch: sum-reduced terms over
-  // the region are scaled back up by total/region so the per-step
-  // L1 : L2 : Lreg balance matches the full-batch values the beta/gamma
-  // grids were tuned on.
-  const float upscale = static_cast<float>(dataset.NumNodes()) /
-                        static_cast<float>(view.num_targets);
-  const float lreg_normalizer =
-      static_cast<float>(std::max<size_t>(view_edges.size(), size_t{1})) * k;
-
-  // Warm-cloned members, all on the new graph, plus their cached outputs.
-  // The teacher for student t is the FULL num_students-member ensemble with
-  // members < t already replaced by their updated versions (member weights
-  // frozen at the previous alphas while the chain runs) — so student 0
-  // distills from the previous ensemble outright, which is what anchors the
-  // warm start, and later students see progressively fresher teachers.
-  std::vector<std::unique_ptr<GraphModel>> students;
-  std::vector<Matrix> member_probs(static_cast<size_t>(num_students));
-  std::vector<Matrix> member_embeddings(static_cast<size_t>(num_students));
-  for (int t = 0; t < num_students; ++t) {
-    students.push_back(WarmClone(context, config.base_model,
-                                 previous.students[static_cast<size_t>(t)].get(),
-                                 student_seeds[static_cast<size_t>(t)]));
-    const ModelOutput warm =
-        students[static_cast<size_t>(t)]->Forward(/*training=*/false);
-    member_probs[static_cast<size_t>(t)] =
-        SoftmaxRows(warm.logits.value());
-    member_embeddings[static_cast<size_t>(t)] = warm.embedding.value();
-  }
-  const std::vector<double>& prev_alphas = previous.alphas;
-  RDD_CHECK_EQ(prev_alphas.size(), static_cast<size_t>(num_students));
-
-  RddResult& result = out.result;
-  for (int t = 0; t < num_students; ++t) {
-    observe::TraceSpan student_span("stream/student", t);
-    GraphModel* student = students[static_cast<size_t>(t)].get();
-    StudentDiagnostics diag;
-
-    Matrix teacher_probs;
-    Matrix teacher_embeddings;
-    {
-      observe::TraceSpan teacher_span("rdd/teacher_views");
-      Teacher ensemble;
-      for (int i = 0; i < num_students; ++i) {
-        ensemble.AddMember(member_probs[static_cast<size_t>(i)],
-                           member_embeddings[static_cast<size_t>(i)],
-                           prev_alphas[static_cast<size_t>(i)]);
-      }
-      teacher_probs = ensemble.PredictProbs();
-      teacher_embeddings = ensemble.PredictEmbeddings();
-    }
-    const Matrix teacher_probs_v = GatherMatrixRows(teacher_probs, view);
-    const Matrix teacher_embeddings_v =
-        GatherMatrixRows(teacher_embeddings, view);
-
-    auto loss_fn = [&, student](const ModelOutput& output, int epoch) {
-      // Algorithm 1 over the region, refreshed each epoch from the current
-      // student's eval-mode predictions; p-percent thresholds are quantiles
-      // over the view's rows.
-      const Matrix student_probs = SoftmaxRows(
-          student->Forward(view, /*training=*/false).logits.value());
-      std::vector<bool> reliable;
-      std::vector<int64_t> distill_nodes;
-      if (config.use_node_reliability) {
-        observe::TraceSpan rel_span("rdd/node_reliability", epoch);
-        NodeReliability rel =
-            ComputeNodeReliability(teacher_probs_v, student_probs, labels_v,
-                                   train_mask_v, config.reliability);
-        reliable = std::move(rel.reliable);
-        distill_nodes = std::move(rel.distill_nodes);
-      } else {
-        reliable = AllReliable(view.num_nodes);
-        distill_nodes = AllNodes(view.num_nodes);
-      }
-      // Unlike the mini-batch trainer, frontier rows are KEPT in the
-      // distillation set: they are exactly the rows whose behavior must not
-      // move, and distill_weights upweights them.
-
-      std::vector<Variable> terms;
-      std::vector<float> coeffs;
-      terms.push_back(ag::SoftmaxCrossEntropy(output.logits, labels_v,
-                                              labeled_targets,
-                                              ag::Reduction::kMean));
-      coeffs.push_back(1.0f);
-      // gamma is NOT annealed here: Eq. 14's ramp exists to keep an
-      // immature teacher from dominating early training, and a warm start
-      // begins with a converged teacher.
-      if (use_l2 && !distill_nodes.empty() && config.gamma_initial > 0.0f) {
-        observe::TraceSpan l2_span("rdd/node_distill_loss");
-        if (config.distill_loss == DistillLoss::kEmbeddingMse) {
-          // The MSE reading has no weighted variant; the frontier anchor
-          // comes from membership alone.
-          terms.push_back(ag::RowSquaredError(output.embedding,
-                                              teacher_embeddings_v,
-                                              distill_nodes,
-                                              ag::Reduction::kSum));
-          coeffs.push_back(
-              config.gamma_initial * upscale /
-              (static_cast<float>(dataset.split.train.size()) * k));
-        } else {
-          constexpr float kDistillScale = 16.0f;
-          terms.push_back(ag::WeightedSoftCrossEntropy(
-              output.logits, teacher_probs_v, distill_nodes, distill_weights,
-              ag::Reduction::kSum));
-          coeffs.push_back(config.gamma_initial * kDistillScale * upscale /
-                           static_cast<float>(dataset.split.train.size()));
-        }
-      }
-      if (use_lreg) {
-        observe::TraceSpan lreg_span("rdd/edge_reg_loss");
-        const std::vector<int64_t> student_preds = ArgmaxRows(student_probs);
-        std::vector<std::pair<int64_t, int64_t>> edges;
-        {
-          observe::TraceSpan edges_span("rdd/edge_reliability", epoch);
-          edges = config.use_edge_reliability
-                      ? ComputeReliableEdges(view_edges, reliable,
-                                             student_preds)
-                      : view_edges;
-        }
-        diag.reliable_edges = static_cast<int64_t>(edges.size());
-        if (!edges.empty()) {
-          if (config.edge_reg_target == EdgeRegTarget::kEmbedding) {
-            terms.push_back(ag::EdgeLaplacian(output.embedding, edges,
-                                              ag::Reduction::kSum));
-          } else {
-            terms.push_back(ag::EdgeLaplacian(ag::Softmax(output.logits),
-                                              edges, ag::Reduction::kSum));
-          }
-          coeffs.push_back(config.beta / lreg_normalizer);
-        }
-      }
-      diag.reliable_nodes = static_cast<int64_t>(
-          std::count(reliable.begin(), reliable.end(), true));
-      diag.distill_nodes = static_cast<int64_t>(distill_nodes.size());
-      return ag::WeightedSum(terms, coeffs);
-    };
-    result.reports.push_back(
-        FineTuneOnView(student, dataset, view, config.train, inc, loss_fn));
-
-    // Publish the updated member so students > t distill from it.
-    observe::TraceSpan ensemble_span("rdd/ensemble_update", t);
-    const ModelOutput final_output = student->Forward(/*training=*/false);
-    member_probs[static_cast<size_t>(t)] =
-        SoftmaxRows(final_output.logits.value());
-    member_embeddings[static_cast<size_t>(t)] = final_output.embedding.value();
-    result.diagnostics.push_back(diag);
-  }
-
-  // Rebuild the served ensemble from the updated members, with Eq. 12
-  // weights recomputed on the NEW graph's PageRank.
-  result.single_test_accuracy =
-      Accuracy(member_probs.back(), dataset.labels, dataset.split.test);
-  for (int t = 0; t < num_students; ++t) {
-    Matrix& probs = member_probs[static_cast<size_t>(t)];
-    const double alpha = config.use_entropy_pagerank_weights
-                             ? ComputeEnsembleWeight(probs, pagerank)
-                             : 1.0;
-    result.alphas.push_back(alpha);
-    result.teacher.AddMember(
-        std::move(probs),
-        std::move(member_embeddings[static_cast<size_t>(t)]), alpha);
-    result.students.push_back(std::move(students[static_cast<size_t>(t)]));
-    result.ensemble_accuracy_after_member.push_back(
-        result.teacher.Accuracy(dataset.labels, dataset.split.test));
-  }
-  result.ensemble_test_accuracy =
-      result.teacher.Accuracy(dataset.labels, dataset.split.test);
-  result.average_member_test_accuracy =
-      result.teacher.AverageMemberAccuracy(dataset.labels,
-                                           dataset.split.test);
-  result.total_seconds = timer.ElapsedSeconds();
-  out.total_seconds = result.total_seconds;
+  // Warm chain over the previous ensemble: student 0 distills from the
+  // previous ensemble outright, which is what anchors the warm start.
+  out.result = TrainStudentChain(source, config, previous, seed);
+  out.total_seconds = out.result.total_seconds = timer.ElapsedSeconds();
   return out;
 }
 

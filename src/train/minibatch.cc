@@ -1,17 +1,12 @@
 #include "train/minibatch.h"
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 
-#include "autograd/ops.h"
 #include "memory/workspace.h"
-#include "nn/metrics.h"
-#include "nn/optimizer.h"
-#include "observe/metrics.h"
-#include "observe/trace.h"
 #include "util/env.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace rdd {
 
@@ -43,27 +38,6 @@ std::vector<int64_t> ParseFanouts(const char* value,
   return fanouts.empty() ? fallback : fanouts;
 }
 
-/// View-local labeled target rows of `view` plus the gathered label vector:
-/// everything the masked cross-entropy needs, computed once per batch.
-struct ViewSupervision {
-  std::vector<int64_t> labels;   ///< View-local, one per view row.
-  std::vector<int64_t> indices;  ///< Labeled target rows (view-local ids).
-};
-
-ViewSupervision GatherSupervision(const GraphView& view,
-                                  const Dataset& dataset,
-                                  const std::vector<bool>& train_mask) {
-  ViewSupervision sup;
-  sup.labels = view.GatherInt64(dataset.labels);
-  sup.indices.reserve(static_cast<size_t>(view.num_targets));
-  for (int64_t i = 0; i < view.num_targets; ++i) {
-    if (train_mask[static_cast<size_t>(view.GlobalId(i))]) {
-      sup.indices.push_back(i);
-    }
-  }
-  return sup;
-}
-
 }  // namespace
 
 MiniBatchConfig MiniBatchConfig::FromEnv() {
@@ -80,143 +54,61 @@ MiniBatchConfig MiniBatchConfig::FromEnv() {
   return config;
 }
 
-TrainReport TrainMiniBatchWithLoss(GraphModel* model, const Dataset& dataset,
-                                   const TrainConfig& config,
-                                   const MiniBatchConfig& mb_config,
-                                   const BatchLossFn& loss_fn) {
-  RDD_CHECK(model != nullptr);
-  RDD_CHECK_GT(config.max_epochs, 0);
-  RDD_CHECK_GT(config.patience, 0);
+EpochViews MiniBatchViews(const Dataset& dataset,
+                          const MiniBatchConfig& mb_config,
+                          std::vector<int64_t> targets) {
   RDD_CHECK(!mb_config.fanouts.empty());
-  WallTimer timer;
-  // The run-level Workspace keeps optimizer state and parameter snapshots
-  // pooled; each batch below opens a nested Workspace so tape/gradient
-  // buffers recycle batch-to-batch and the pool's high-water mark tracks the
-  // largest VIEW, not the full graph.
-  memory::Workspace run_workspace;
-  Adam optimizer(model->Parameters(), config.lr, config.weight_decay);
-
-  const NeighborSampler sampler(
-      &dataset.graph, &dataset.features, dataset.num_classes,
-      SamplerConfig{mb_config.fanouts, mb_config.sampler_seed});
-  std::vector<int64_t> all_nodes;
-  if (mb_config.batch_over_all_nodes) {
-    all_nodes.resize(static_cast<size_t>(dataset.NumNodes()));
-    for (int64_t i = 0; i < dataset.NumNodes(); ++i) {
-      all_nodes[static_cast<size_t>(i)] = i;
-    }
-  }
-
-  // Shard mode builds its fixed epoch sequence once; sampled mode re-plans
-  // every epoch from the epoch-split stream.
-  std::vector<GraphView> shards;
   if (mb_config.num_shards > 0) {
     PartitionConfig pconfig;
     pconfig.num_parts = mb_config.num_shards;
     pconfig.seed = mb_config.sampler_seed;
     const GraphPartition partition =
         PartitionByPropagatedFeatures(dataset.graph, dataset.features, pconfig);
-    shards = MakeShardViews(dataset.graph, dataset.features,
-                            dataset.num_classes, partition);
+    auto shards = std::make_shared<const std::vector<GraphView>>(
+        MakeShardViews(dataset.graph, dataset.features, dataset.num_classes,
+                       partition));
+    return [shards](int /*epoch*/, const TrainStep& step) {
+      for (const GraphView& view : *shards) step(view);
+    };
   }
+  auto sampler = std::make_shared<const NeighborSampler>(
+      &dataset.graph, &dataset.features, dataset.num_classes,
+      SamplerConfig{mb_config.fanouts, mb_config.sampler_seed});
+  return [sampler, targets = std::move(targets),
+          batch_size = mb_config.batch_size](int epoch, const TrainStep& step) {
+    for (const std::vector<int64_t>& batch :
+         sampler->PlanBatches(targets, batch_size, epoch)) {
+      step(sampler->SampleView(batch, epoch));
+    }
+  };
+}
 
-  TrainReport report;
-  report.val_history.reserve(static_cast<size_t>(config.max_epochs));
-  std::vector<Matrix> best_params;
-  int epochs_since_best = 0;
-  static observe::Counter& epoch_counter =
-      observe::MetricsRegistry::Global().counter("train.minibatch.epochs");
-  static observe::Counter& batch_counter =
-      observe::MetricsRegistry::Global().counter("train.minibatch.batches");
-  for (int epoch = 0; epoch < config.max_epochs; ++epoch) {
-    observe::TraceSpan epoch_span("train/mb_epoch", epoch);
-    epoch_counter.Add(1);
-    double loss_value = 0.0;
-    if (!shards.empty()) {
-      for (const GraphView& view : shards) {
-        observe::TraceSpan span("train/mb_batch");
-        batch_counter.Add(1);
-        memory::Workspace batch_workspace;
-        ModelOutput output = model->Forward(view, /*training=*/true);
-        Variable loss = loss_fn(view, output, epoch);
-        loss_value = loss.value().At(0, 0);
-        loss.Backward();
-        optimizer.Step();
-      }
-    } else {
-      const std::vector<std::vector<int64_t>> batches = sampler.PlanBatches(
-          mb_config.batch_over_all_nodes ? all_nodes : dataset.split.train,
-          mb_config.batch_size, epoch);
-      for (const std::vector<int64_t>& batch : batches) {
-        observe::TraceSpan span("train/mb_batch");
-        batch_counter.Add(1);
-        memory::Workspace batch_workspace;
-        const GraphView view = sampler.SampleView(batch, epoch);
-        ModelOutput output = model->Forward(view, /*training=*/true);
-        Variable loss = loss_fn(view, output, epoch);
-        loss_value = loss.value().At(0, 0);
-        loss.Backward();
-        optimizer.Step();
-      }
-    }
-
-    double val_acc;
-    {
-      observe::TraceSpan span("train/mb_validate");
-      val_acc = mb_config.sampled_eval
-                    ? EvaluateAccuracySampled(model, dataset,
-                                              dataset.split.val, mb_config)
-                    : EvaluateAccuracy(model, dataset, dataset.split.val);
-    }
-    report.val_history.push_back(val_acc);
-    report.epochs_run = epoch + 1;
-    if (config.verbose) {
-      RDD_LOG(Info) << "mb epoch " << epoch << " last_loss " << loss_value
-                    << " val_acc " << val_acc;
-    }
-    if (val_acc > report.best_val_accuracy) {
-      report.best_val_accuracy = val_acc;
-      epochs_since_best = 0;
-      if (config.restore_best) {
-        const std::vector<Variable> params = model->Parameters();
-        if (best_params.empty()) {
-          best_params = SnapshotParameters(params);
-        } else {
-          for (size_t i = 0; i < best_params.size(); ++i) {
-            best_params[i] = params[i].value();
-          }
-        }
-      }
-    } else if (++epochs_since_best >= config.patience) {
-      break;
-    }
-  }
-  if (config.restore_best && !best_params.empty()) {
-    std::vector<Variable> params = model->Parameters();
-    RestoreParameters(std::move(best_params), &params);
-  }
-  report.test_accuracy =
-      mb_config.sampled_eval
-          ? EvaluateAccuracySampled(model, dataset, dataset.split.test,
-                                    mb_config)
-          : EvaluateAccuracy(model, dataset, dataset.split.test);
-  report.train_seconds = timer.ElapsedSeconds();
-  return report;
+EvalHooks MiniBatchEvalHooks(const Dataset& dataset,
+                             const MiniBatchConfig& mb_config) {
+  EvalHooks hooks;
+  if (!mb_config.sampled_eval) return hooks;
+  hooks.validate = [&dataset, mb_config](GraphModel* model) {
+    return EvaluateAccuracySampled(model, dataset, dataset.split.val,
+                                   mb_config);
+  };
+  hooks.test = [&dataset, mb_config](GraphModel* model) {
+    return EvaluateAccuracySampled(model, dataset, dataset.split.test,
+                                   mb_config);
+  };
+  return hooks;
 }
 
 TrainReport TrainMiniBatchSupervised(GraphModel* model, const Dataset& dataset,
                                      const TrainConfig& config,
                                      const MiniBatchConfig& mb_config) {
-  const std::vector<bool> train_mask = dataset.TrainMask();
-  return TrainMiniBatchWithLoss(
-      model, dataset, config, mb_config,
-      [&dataset, &train_mask](const GraphView& view, const ModelOutput& output,
-                              int /*epoch*/) {
-        const ViewSupervision sup =
-            GatherSupervision(view, dataset, train_mask);
-        return ag::SoftmaxCrossEntropy(output.logits, sup.labels, sup.indices,
-                                       ag::Reduction::kMean);
-      });
+  return TrainWithLoss(
+      model, dataset, config,
+      [&dataset](const GraphView& view, const ModelOutput& output,
+                 int /*epoch*/) {
+        return SupervisedLoss(dataset, view, output);
+      },
+      MiniBatchViews(dataset, mb_config, dataset.split.train),
+      MiniBatchEvalHooks(dataset, mb_config));
 }
 
 double EvaluateAccuracySampled(GraphModel* model, const Dataset& dataset,

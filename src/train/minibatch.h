@@ -33,38 +33,34 @@ struct MiniBatchConfig {
   /// Base seed of the sampling/partition stream tree (split, never shared,
   /// with the model's own rng).
   uint64_t sampler_seed = 0x5eedULL;
-  /// Draw batch targets from every node instead of just the labeled
-  /// training set. Losses that act on unlabeled nodes (RDD's distillation
-  /// and edge terms) need their targets to actually appear as batch target
-  /// rows; plain supervised training leaves this off so an epoch is one
-  /// sweep over the labeled nodes.
-  bool batch_over_all_nodes = false;
 
   /// Applies RDD_MB_BATCH / RDD_MB_FANOUT (comma list, e.g. "10,10") /
   /// RDD_MB_SHARDS / RDD_MB_SAMPLED_EVAL on top of the defaults.
   static MiniBatchConfig FromEnv();
 };
 
-/// Builds the loss for one batch: receives the batch view, the
-/// training-mode forward output over that view, and the epoch index.
-/// Row indices in the output are VIEW-LOCAL; map back with view.GlobalId().
-using BatchLossFn = std::function<Variable(
-    const GraphView& view, const ModelOutput& output, int epoch)>;
-
-/// Mini-batch analogue of TrainWithLoss: per epoch, the training targets
-/// are deterministically re-batched (or the shard sequence replayed), and
-/// each batch runs forward/loss/backward/step over its own induced view
-/// inside one Workspace, so peak memory is bounded by the largest batch
-/// view, never the full graph's activations. Early stopping, best-weight
-/// restore, and reporting follow TrainWithLoss.
+/// The training views of mini-batch training, for TrainWithLoss. Sampled
+/// mode re-batches `targets` every epoch (batch composition and sampled
+/// frontiers are a pure function of (mb_config.sampler_seed, epoch)) and
+/// samples one view per batch, so peak memory is bounded by the largest
+/// batch view, never the full graph's activations. Shard mode
+/// (num_shards > 0) partitions the graph once and replays the shard views
+/// every epoch; it ignores `targets`, since the shards cover every node.
+/// Supervised training passes the labeled split as `targets`; losses that
+/// act on unlabeled nodes (RDD's distillation and edge terms) pass every
+/// node, so each one appears as a batch target row.
 ///
-/// Contract: for fixed (model seed, dataset, configs, loss_fn) the whole
-/// run — batch composition, sampled frontiers, losses, parameter updates —
-/// is bit-identical at any thread count, SIMD backend, and pool mode.
-TrainReport TrainMiniBatchWithLoss(GraphModel* model, const Dataset& dataset,
-                                   const TrainConfig& config,
-                                   const MiniBatchConfig& mb_config,
-                                   const BatchLossFn& loss_fn);
+/// Contract: the views are bit-identical at any thread count, SIMD backend,
+/// and pool mode. `dataset` must outlive the returned function.
+EpochViews MiniBatchViews(const Dataset& dataset,
+                          const MiniBatchConfig& mb_config,
+                          std::vector<int64_t> targets);
+
+/// Evaluation hooks of mini-batch training: with mb_config.sampled_eval,
+/// validation and test accuracy go through EvaluateAccuracySampled; else
+/// the defaults (one full-graph forward). `dataset` must outlive them.
+EvalHooks MiniBatchEvalHooks(const Dataset& dataset,
+                             const MiniBatchConfig& mb_config);
 
 /// Supervised mini-batch training: per-batch masked softmax cross-entropy
 /// over each view's labeled target rows.

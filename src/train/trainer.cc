@@ -12,22 +12,18 @@
 namespace rdd {
 
 TrainReport TrainWithLoss(GraphModel* model, const Dataset& dataset,
-                          const TrainConfig& config, const LossFn& loss_fn) {
-  return TrainWithLoss(model, dataset, config, loss_fn, EvalHooks{});
-}
-
-TrainReport TrainWithLoss(GraphModel* model, const Dataset& dataset,
-                          const TrainConfig& config, const LossFn& loss_fn,
-                          const EvalHooks& hooks) {
+                          const TrainConfig& config, const ViewLossFn& loss_fn,
+                          const EpochViews& views, const EvalHooks& hooks) {
   RDD_CHECK(model != nullptr);
   RDD_CHECK_GT(config.max_epochs, 0);
   RDD_CHECK_GT(config.patience, 0);
   RDD_CHECK_GE(hooks.eval_every, 1);
   WallTimer timer;
   // The epoch loop runs inside one Workspace so every tape, gradient, and
-  // scratch buffer released in epoch e is recycled in epoch e+1. Nested
-  // callers (TrainRdd, the ensemble baselines) hold an outer Workspace, so
-  // the buffers also carry across students of one run.
+  // scratch buffer released in one step is recycled by the next, and the
+  // pool's high-water mark tracks the largest view trained on. Nested
+  // callers (the RDD student chain, the ensemble baselines) hold an outer
+  // Workspace, so the buffers also carry across students of one run.
   memory::Workspace workspace;
   Adam optimizer(model->Parameters(), config.lr, config.weight_decay);
 
@@ -45,12 +41,19 @@ TrainReport TrainWithLoss(GraphModel* model, const Dataset& dataset,
   for (int epoch = 0; epoch < config.max_epochs; ++epoch) {
     observe::TraceSpan epoch_span("train/epoch", epoch);
     epoch_counter.Add(1);
-    ModelOutput output = model->Forward(/*training=*/true);
-    Variable loss = loss_fn(output, epoch);
-    {
+    float last_loss = 0.0f;
+    const TrainStep step = [&](const GraphView& view) {
+      ModelOutput output = model->Forward(view, /*training=*/true);
+      Variable loss = loss_fn(view, output, epoch);
+      last_loss = loss.value().At(0, 0);
       observe::TraceSpan span("train/backward_step");
       loss.Backward();
       optimizer.Step();
+    };
+    if (views) {
+      views(epoch, step);
+    } else {
+      step(model->full_view());
     }
 
     // With eval_every > 1 validation is amortized: skipped epochs carry the
@@ -67,8 +70,8 @@ TrainReport TrainWithLoss(GraphModel* model, const Dataset& dataset,
     report.val_history.push_back(val_acc);
     report.epochs_run = epoch + 1;
     if (config.verbose) {
-      RDD_LOG(Info) << "epoch " << epoch << " loss "
-                    << loss.value().At(0, 0) << " val_acc " << val_acc;
+      RDD_LOG(Info) << "epoch " << epoch << " last_loss " << last_loss
+                    << " val_acc " << val_acc;
     }
     if (!evaluate) continue;
     if (val_acc > report.best_val_accuracy) {
@@ -103,15 +106,41 @@ TrainReport TrainWithLoss(GraphModel* model, const Dataset& dataset,
   return report;
 }
 
+TrainReport TrainWithLoss(GraphModel* model, const Dataset& dataset,
+                          const TrainConfig& config, const LossFn& loss_fn,
+                          const EvalHooks& hooks) {
+  return TrainWithLoss(
+      model, dataset, config,
+      [&loss_fn](const GraphView& /*view*/, const ModelOutput& output,
+                 int epoch) { return loss_fn(output, epoch); },
+      EpochViews{}, hooks);
+}
+
+Variable SupervisedLoss(const Dataset& dataset, const GraphView& view,
+                        const ModelOutput& output) {
+  if (view.full()) {
+    return ag::SoftmaxCrossEntropy(output.logits, dataset.labels,
+                                   dataset.split.train, ag::Reduction::kMean);
+  }
+  const std::vector<bool> train_mask = dataset.TrainMask();
+  std::vector<int64_t> labeled;
+  for (int64_t i = 0; i < view.num_targets; ++i) {
+    if (train_mask[static_cast<size_t>(view.GlobalId(i))]) labeled.push_back(i);
+  }
+  return ag::SoftmaxCrossEntropy(output.logits,
+                                 view.GatherInt64(dataset.labels), labeled,
+                                 ag::Reduction::kMean);
+}
+
 TrainReport TrainSupervised(GraphModel* model, const Dataset& dataset,
                             const TrainConfig& config) {
   return TrainWithLoss(
       model, dataset, config,
-      [&dataset](const ModelOutput& output, int /*epoch*/) {
-        return ag::SoftmaxCrossEntropy(output.logits, dataset.labels,
-                                       dataset.split.train,
-                                       ag::Reduction::kMean);
-      });
+      [&dataset](const GraphView& view, const ModelOutput& output,
+                 int /*epoch*/) {
+        return SupervisedLoss(dataset, view, output);
+      },
+      EpochViews{}, EvalHooks{});
 }
 
 double EvaluateAccuracy(GraphModel* model, const Dataset& dataset,

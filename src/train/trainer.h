@@ -33,14 +33,28 @@ struct TrainReport {
 };
 
 /// Builds the loss for one epoch. Receives the training-mode forward output
-/// and the epoch index; returns a 1x1 scalar Variable. This hook is how the
-/// RDD trainer injects its reliability-driven loss into the shared
-/// early-stopping loop.
+/// and the epoch index; returns a 1x1 scalar Variable. The full-graph form
+/// of ViewLossFn, kept for the single-view callers (baselines, distillation).
 using LossFn = std::function<Variable(const ModelOutput&, int epoch)>;
+
+/// Builds the loss for one training step: receives the view the step trains
+/// on, the training-mode forward output over it, and the epoch index. Row
+/// indices in the output are VIEW-LOCAL; map back with view.GlobalId().
+using ViewLossFn = std::function<Variable(
+    const GraphView& view, const ModelOutput& output, int epoch)>;
+
+/// One training step over a view: forward, loss, backward, Adam step.
+using TrainStep = std::function<void(const GraphView& view)>;
+
+/// Supplies the training views of one epoch: calls `step` once per view, in
+/// order (sampled mini-batches, shards, a k-hop region). An empty EpochViews
+/// trains on the model's full view, one step per epoch.
+using EpochViews = std::function<void(int epoch, const TrainStep& step)>;
 
 /// Caller-supplied evaluation overrides for TrainWithLoss. The condensed
 /// training driver uses these to train on a condensed graph while early
-/// stopping (and reporting) against the FULL graph's val/test splits; the
+/// stopping (and reporting) against the FULL graph's val/test splits, and
+/// sampled mini-batch training to evaluate through inference views; the
 /// defaults reproduce the classic behavior exactly.
 struct EvalHooks {
   /// Validation metric driving early stopping and best-weight selection.
@@ -53,29 +67,38 @@ struct EvalHooks {
   /// final epoch). Skipped epochs carry the last measured value forward in
   /// val_history and do not advance the patience counter, so `patience`
   /// counts EVALUATIONS when eval_every > 1. Used when one validation
-  /// forward costs more than a training epoch (condensed training).
+  /// forward costs more than a training epoch (condensed and incremental
+  /// training).
   int eval_every = 1;
 };
 
-/// Trains `model` with Adam + early stopping on validation accuracy using a
-/// caller-supplied loss. Restores the best-validation parameters before
-/// returning when config.restore_best is set.
+/// The library's one epoch loop: trains `model` with Adam + early stopping
+/// on validation accuracy. Each epoch runs forward, loss, backward and step
+/// over every view `views` supplies, then evaluates through `hooks`.
+/// Restores the best-validation parameters before returning when
+/// config.restore_best is set.
 ///
-/// Contract: for a fixed (model seed, dataset, config, loss_fn) the epoch
-/// sequence — losses, parameter updates, val_history, stopping epoch — is
-/// deterministic and bit-identical across thread counts and kernel
+/// Contract: for a fixed (model seed, dataset, config, loss_fn, views) the
+/// epoch sequence — losses, parameter updates, val_history, stopping epoch —
+/// is deterministic and bit-identical across thread counts and kernel
 /// backends. Observability: each epoch increments the "train.epochs"
 /// counter and, when tracing, emits a "train/epoch" span (arg = epoch
-/// index) nesting "train/backward_step" and "train/validate" — the
-/// per-epoch cost breakdown behind the paper's Table 9 timing analysis.
+/// index) nesting one "train/backward_step" per view and "train/validate" —
+/// the per-epoch cost breakdown behind the paper's Table 9 timing analysis.
 TrainReport TrainWithLoss(GraphModel* model, const Dataset& dataset,
-                          const TrainConfig& config, const LossFn& loss_fn);
+                          const TrainConfig& config, const ViewLossFn& loss_fn,
+                          const EpochViews& views, const EvalHooks& hooks);
 
-/// As above with evaluation overrides. Passing a default-constructed
-/// EvalHooks is bit-identical to the four-argument overload.
+/// Full-view training with a full-graph loss.
 TrainReport TrainWithLoss(GraphModel* model, const Dataset& dataset,
                           const TrainConfig& config, const LossFn& loss_fn,
-                          const EvalHooks& hooks);
+                          const EvalHooks& hooks = {});
+
+/// L1 (Eq. 3/6): mean softmax cross-entropy over the labeled target rows of
+/// `view`. On the full view these are dataset.split.train in split order;
+/// on a sub-view, the target rows whose node is in the training split.
+Variable SupervisedLoss(const Dataset& dataset, const GraphView& view,
+                        const ModelOutput& output);
 
 /// Standard supervised training: masked softmax cross-entropy over the
 /// labeled nodes (Eq. 3 of the paper).

@@ -13,14 +13,17 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -157,6 +160,49 @@ TEST(DaemonTest, ServesIdenticalAnswersOverTheWireAndInProcess) {
   EXPECT_GE(stats->queries_served, 2 * nodes.size());
 
   // kShutdown stops the daemon remotely; Wait() must return.
+  ASSERT_TRUE(client->Shutdown().ok());
+  (*daemon)->Wait();
+}
+
+TEST(DaemonTest, HostilePredictCountIsRejectedBeforeAllocating) {
+  DaemonFixture f;
+  f.WriteInputs();
+  StatusOr<std::unique_ptr<Daemon>> daemon = Daemon::Start(f.Options());
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+
+  // A 9-byte frame: length 5, kPredict, count 0xFFFFFFFF, and no node ids.
+  // Sizing a buffer from that count before checking it against the frame
+  // would request 32 GiB and take the whole daemon down.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, f.socket_path.c_str(),
+               sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const uint8_t frame[9] = {5, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF};
+  ASSERT_EQ(::write(fd, frame, sizeof(frame)),
+            static_cast<ssize_t>(sizeof(frame)));
+  uint8_t header[4];
+  ASSERT_EQ(::recv(fd, header, sizeof(header), MSG_WAITALL),
+            static_cast<ssize_t>(sizeof(header)));
+  const uint32_t len = header[0] | (header[1] << 8) | (header[2] << 16) |
+                       (static_cast<uint32_t>(header[3]) << 24);
+  ASSERT_GT(len, 0u);
+  std::vector<uint8_t> response(len);
+  ASSERT_EQ(::recv(fd, response.data(), len, MSG_WAITALL),
+            static_cast<ssize_t>(len));
+  EXPECT_EQ(response[0], static_cast<uint8_t>(DaemonStatus::kInvalid));
+  ::close(fd);
+
+  // The daemon is still serving: a valid predict is answered.
+  StatusOr<DaemonClient> client = DaemonClient::Connect(f.socket_path);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  StatusOr<std::vector<int64_t>> labels = client->PredictLabels({0, 1, 2});
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  EXPECT_EQ(labels->size(), 3u);
   ASSERT_TRUE(client->Shutdown().ok());
   (*daemon)->Wait();
 }

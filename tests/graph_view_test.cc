@@ -134,5 +134,20 @@ TEST(GraphViewTest, ViewEdgesListsEachInducedEdgeOnce) {
   EXPECT_EQ(edges[1], (std::pair<int64_t, int64_t>{1, 2}));
 }
 
+TEST(GraphViewTest, FullViewEdgesAreTheGraphsCanonicalEdgeList) {
+  // The RDD student chain reads Algorithm 2's edge set from ViewEdges on
+  // every view, the full one included, so on the full view it must be
+  // Graph::edges() exactly: same pairs, same (row-sorted) order.
+  const Dataset dataset = GenerateCitationNetwork(CoraLikeConfig(), 3);
+  const GraphContext context = GraphContext::FromDataset(dataset);
+  const std::vector<std::pair<int64_t, int64_t>> edges =
+      ViewEdges(context.FullView());
+  ASSERT_EQ(static_cast<int64_t>(edges.size()), dataset.graph.num_edges());
+  for (size_t i = 0; i < edges.size(); ++i) {
+    ASSERT_EQ(edges[i].first, dataset.graph.edges()[i].u) << "edge " << i;
+    ASSERT_EQ(edges[i].second, dataset.graph.edges()[i].v) << "edge " << i;
+  }
+}
+
 }  // namespace
 }  // namespace rdd

@@ -91,7 +91,7 @@ TEST(TableWriterDeathTest, WrongCellCountAborts) {
 TEST(TimerTest, MeasuresElapsedTime) {
   WallTimer timer;
   volatile double sink = 0.0;
-  for (int i = 0; i < 2000000; ++i) sink += static_cast<double>(i);
+  for (int i = 0; i < 2000000; ++i) sink = sink + static_cast<double>(i);
   EXPECT_GT(timer.ElapsedSeconds(), 0.0);
   EXPECT_NEAR(timer.ElapsedMillis(), timer.ElapsedSeconds() * 1e3,
               timer.ElapsedMillis() * 0.5 + 1.0);
@@ -100,7 +100,7 @@ TEST(TimerTest, MeasuresElapsedTime) {
 TEST(TimerTest, RestartResets) {
   WallTimer timer;
   volatile double sink = 0.0;
-  for (int i = 0; i < 2000000; ++i) sink += static_cast<double>(i);
+  for (int i = 0; i < 2000000; ++i) sink = sink + static_cast<double>(i);
   const double before = timer.ElapsedSeconds();
   timer.Restart();
   EXPECT_LT(timer.ElapsedSeconds(), before + 1e-3);
