@@ -1,9 +1,10 @@
 // Condensed-training bench: accuracy-vs-ratio curves and end-to-end
 // wall-clock speedup of TrainRddCondensed against the full-graph TrainRdd
-// baseline on the Cora-like dataset. Each condensed run trains the whole
-// RDD student chain (reliability, distillation, edge regularization) on a
-// few-percent synthetic graph and reports FULL-graph ensemble test
-// accuracy, so every row is directly comparable to the baseline.
+// baseline on the Cora-like dataset, with the cluster condenser. Each
+// condensed run trains the whole RDD student chain (reliability,
+// distillation, edge regularization) on a few-percent synthetic graph and
+// reports FULL-graph ensemble test accuracy, so every row is directly
+// comparable to the baseline.
 //
 //   ./build/bench/condense_train [--json BENCH_condense_train.json]
 //
@@ -57,51 +58,43 @@ int Main(int argc, char** argv) {
   std::printf("Baseline RDD(Ensemble): %s%% in %.2f s\n\n",
               bench::Pct(baseline_acc).c_str(), baseline_seconds);
 
-  TableWriter table({"Method", "Ratio", "Nodes", "Edges", "Acc",
-                     "Drop (pts)", "Seconds", "Speedup"});
+  TableWriter table({"Ratio", "Nodes", "Edges", "Acc", "Drop (pts)",
+                     "Seconds", "Speedup"});
 
   double headline_speedup = 0.0;
   double headline_drop_pts = 0.0;
-  const condense::Method methods[] = {condense::Method::kCluster,
-                                      condense::Method::kEigen};
-  for (const condense::Method method : methods) {
-    for (const double ratio : kRatios) {
-      condense::CondenseConfig cc;
-      cc.method = method;
-      cc.ratio = ratio;
-      WallTimer timer;
-      const CondensedRddResult r = TrainRddCondensed(
-          dataset, context, rdd_config, cc, bench::kTrialSeedBase);
-      const double seconds = timer.ElapsedSeconds();
-      const double acc = r.rdd.ensemble_test_accuracy;
-      const double drop_pts = 100.0 * (baseline_acc - acc);
-      const double speedup = seconds > 0.0 ? baseline_seconds / seconds : 0.0;
-      // The accept bar reads the best qualifying row at ratio <= 0.10.
-      if (drop_pts <= 1.5 && speedup > headline_speedup) {
-        headline_speedup = speedup;
-        headline_drop_pts = drop_pts;
-      }
-
-      table.AddRow({condense::MethodName(method),
-                    StrFormat("%.2f", r.achieved_ratio),
-                    std::to_string(r.condensed_nodes),
-                    std::to_string(r.condensed_edges), bench::Pct(acc),
-                    StrFormat("%+.1f", drop_pts), StrFormat("%.2f", seconds),
-                    StrFormat("%.1fx", speedup)});
-
-      const std::string prefix =
-          StrFormat("%s.r%02d.", condense::MethodName(method),
-                    static_cast<int>(100.0 * ratio + 0.5));
-      report.AddPhase(prefix + "train", seconds);
-      report.AddMetric(prefix + "ensemble_acc", acc);
-      report.AddMetric(prefix + "drop_pts", drop_pts);
-      report.AddMetric(prefix + "speedup", speedup);
-      report.AddMetric(prefix + "condense_seconds", r.condense_seconds);
-      report.AddMetric(prefix + "nodes",
-                       static_cast<double>(r.condensed_nodes));
-      report.AddMetric(prefix + "edges",
-                       static_cast<double>(r.condensed_edges));
+  for (const double ratio : kRatios) {
+    condense::CondenseConfig cc;
+    cc.method = condense::Method::kCluster;
+    cc.ratio = ratio;
+    WallTimer timer;
+    const CondensedRddResult r = TrainRddCondensed(
+        dataset, context, rdd_config, cc, bench::kTrialSeedBase);
+    const double seconds = timer.ElapsedSeconds();
+    const double acc = r.rdd.ensemble_test_accuracy;
+    const double drop_pts = 100.0 * (baseline_acc - acc);
+    const double speedup = seconds > 0.0 ? baseline_seconds / seconds : 0.0;
+    // The accept bar reads the best qualifying row at ratio <= 0.10.
+    if (drop_pts <= 1.5 && speedup > headline_speedup) {
+      headline_speedup = speedup;
+      headline_drop_pts = drop_pts;
     }
+
+    table.AddRow({StrFormat("%.2f", r.achieved_ratio),
+                  std::to_string(r.condensed_nodes),
+                  std::to_string(r.condensed_edges), bench::Pct(acc),
+                  StrFormat("%+.1f", drop_pts), StrFormat("%.2f", seconds),
+                  StrFormat("%.1fx", speedup)});
+
+    const std::string prefix = StrFormat(
+        "cluster.r%02d.", static_cast<int>(100.0 * ratio + 0.5));
+    report.AddPhase(prefix + "train", seconds);
+    report.AddMetric(prefix + "ensemble_acc", acc);
+    report.AddMetric(prefix + "drop_pts", drop_pts);
+    report.AddMetric(prefix + "speedup", speedup);
+    report.AddMetric(prefix + "condense_seconds", r.condense_seconds);
+    report.AddMetric(prefix + "nodes", static_cast<double>(r.condensed_nodes));
+    report.AddMetric(prefix + "edges", static_cast<double>(r.condensed_edges));
   }
   report.AddMetric("headline.speedup", headline_speedup);
   report.AddMetric("headline.drop_pts", headline_drop_pts);

@@ -5,13 +5,12 @@
 //
 //   ./build/examples/condense_quickstart
 //
-// Knobs (see README "Environment variables"): RDD_CONDENSE (off|cluster|
-// eigen), RDD_CONDENSE_RATIO, RDD_CONDENSE_PROP_STEPS, RDD_CONDENSE_EIGEN_K,
-// RDD_CONDENSE_EVAL_EVERY, RDD_CONDENSE_WARMUP. Unset RDD_CONDENSE defaults
-// to "cluster" here (so the quickstart demonstrates condensation out of the
-// box); an explicit RDD_CONDENSE=0/off makes the second run delegate to
-// TrainRdd byte-for-byte — CI's condense-smoke job asserts the two printed
-// ensemble accuracies coincide in that mode.
+// Knobs (see README "Environment variables"): RDD_CONDENSE (off|cluster)
+// and RDD_CONDENSE_RATIO. Unset RDD_CONDENSE defaults to "cluster" here (so
+// the quickstart demonstrates condensation out of the box); an explicit
+// RDD_CONDENSE=0/off makes the second run delegate to TrainRdd
+// byte-for-byte — CI's condense-smoke job asserts the two printed ensemble
+// accuracies coincide in that mode.
 
 #include <cstdio>
 #include <cstdlib>

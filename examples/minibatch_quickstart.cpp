@@ -5,8 +5,7 @@
 //
 //   ./build/examples/minibatch_quickstart
 //
-// Knobs (see README "Mini-batch training"): RDD_MB_BATCH, RDD_MB_FANOUT,
-// RDD_MB_SHARDS, RDD_MB_SAMPLED_EVAL.
+// Knobs (see README "Mini-batch training"): RDD_MB_FANOUT, RDD_MB_SHARDS.
 
 #include <cstdio>
 

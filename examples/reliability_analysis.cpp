@@ -11,6 +11,7 @@
 
 #include "core/reliability.h"
 #include "data/citation_gen.h"
+#include "graph/graph_view.h"
 #include "models/model_factory.h"
 #include "tensor/ops.h"
 #include "train/trainer.h"
@@ -100,7 +101,8 @@ int main() {
   const NodeReliability rel = ComputeNodeReliability(
       teacher_probs, student_probs, dataset.labels, train_mask, config);
   const auto reliable_edges =
-      ComputeReliableEdges(dataset.graph, rel.reliable, student_preds);
+      ComputeReliableEdges(ViewEdges(context.FullView()), rel.reliable,
+                           student_preds);
   int64_t same_class_all = 0;
   for (const Edge& e : dataset.graph.edges()) {
     if (dataset.labels[static_cast<size_t>(e.u)] ==

@@ -113,41 +113,6 @@ NodeReliability ComputeNodeReliability(const Matrix& teacher_probs,
 }
 
 std::vector<std::pair<int64_t, int64_t>> ComputeReliableEdges(
-    const Graph& graph, const std::vector<bool>& reliable,
-    const std::vector<int64_t>& student_predictions) {
-  RDD_CHECK_EQ(static_cast<int64_t>(reliable.size()), graph.num_nodes());
-  RDD_CHECK_EQ(static_cast<int64_t>(student_predictions.size()),
-               graph.num_nodes());
-  // Same pattern as the node pass above: data-parallel flagging, then a
-  // serial append in edge order so the result is independent of threading.
-  const std::vector<Edge>& edges = graph.edges();
-  const int64_t m = static_cast<int64_t>(edges.size());
-  std::vector<unsigned char> keep(static_cast<size_t>(m), 0);
-  parallel::ParallelFor(0, m, parallel::GrainForCost(4), [&](int64_t e0,
-                                                             int64_t e1) {
-    for (int64_t k = e0; k < e1; ++k) {
-      const Edge& e = edges[static_cast<size_t>(k)];
-      const size_t u = static_cast<size_t>(e.u);
-      const size_t v = static_cast<size_t>(e.v);
-      // w_ij = A_ij * B_ij * C_ij (Eq. 5): linked, both reliable, same class.
-      keep[static_cast<size_t>(k)] =
-          (reliable[u] && reliable[v] &&
-           student_predictions[u] == student_predictions[v])
-              ? 1
-              : 0;
-    }
-  });
-  std::vector<std::pair<int64_t, int64_t>> reliable_edges;
-  for (int64_t k = 0; k < m; ++k) {
-    if (keep[static_cast<size_t>(k)] != 0) {
-      reliable_edges.emplace_back(edges[static_cast<size_t>(k)].u,
-                                  edges[static_cast<size_t>(k)].v);
-    }
-  }
-  return reliable_edges;
-}
-
-std::vector<std::pair<int64_t, int64_t>> ComputeReliableEdges(
     const std::vector<std::pair<int64_t, int64_t>>& edges,
     const std::vector<bool>& reliable,
     const std::vector<int64_t>& student_predictions) {

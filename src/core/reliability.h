@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/graph.h"
 #include "tensor/matrix.h"
 
 namespace rdd {
@@ -77,16 +76,12 @@ NodeReliability ComputeNodeReliability(const Matrix& teacher_probs,
                                        const std::vector<bool>& train_mask,
                                        const NodeReliabilityConfig& config);
 
-/// Implements Algorithm 2 of the paper: an edge (i, j) is reliable iff both
-/// endpoints are in Vr and the student predicts the same class for both
-/// (w_ij = A_ij * B_ij * C_ij, Eq. 5). Returns the reliable edge list Er.
-std::vector<std::pair<int64_t, int64_t>> ComputeReliableEdges(
-    const Graph& graph, const std::vector<bool>& reliable,
-    const std::vector<int64_t>& student_predictions);
-
-/// Edge-list form of Algorithm 2, for graph views: filters an explicit
-/// (u, v) edge list (e.g. ViewEdges of a mini-batch view, with view-local
-/// ids) by the same both-endpoints-reliable + same-predicted-class rule.
+/// Implements Algorithm 2 of the paper: an edge (i, j) of `edges` is
+/// reliable iff both endpoints are in Vr and the student predicts the same
+/// class for both (w_ij = A_ij * B_ij * C_ij, Eq. 5). `edges` is any (u, v)
+/// list, e.g. ViewEdges of a graph view with view-local ids (ViewEdges of
+/// the full view lists Graph::edges()). Returns the reliable edge list Er,
+/// in input order.
 std::vector<std::pair<int64_t, int64_t>> ComputeReliableEdges(
     const std::vector<std::pair<int64_t, int64_t>>& edges,
     const std::vector<bool>& reliable,

@@ -24,8 +24,6 @@ const char* MethodName(Method method) {
       return "off";
     case Method::kCluster:
       return "cluster";
-    case Method::kEigen:
-      return "eigen";
   }
   return "unknown";
 }
@@ -37,15 +35,13 @@ CondenseConfig CondenseConfig::FromEnv() {
     const std::string v(value);
     if (v == "cluster") {
       config.method = Method::kCluster;
-    } else if (v == "eigen") {
-      config.method = Method::kEigen;
     } else if (!v.empty()) {
       // Boolean spellings: on means the default (cluster) condenser.
       bool recognized = true;
       const bool on = env::ParseBool(value, false, &recognized);
       if (!recognized) {
         RDD_LOG(Warning) << "RDD_CONDENSE=" << v
-                         << " is not off|cluster|eigen (or a boolean); "
+                         << " is not off|cluster (or a boolean); "
                          << "condensation stays off";
       } else if (on) {
         config.method = Method::kCluster;
@@ -54,15 +50,6 @@ CondenseConfig CondenseConfig::FromEnv() {
   }
   config.ratio = env::DoubleEnv("RDD_CONDENSE_RATIO", config.ratio,
                                 /*min_value=*/1e-4, /*max_value=*/1.0);
-  config.propagation_steps =
-      env::IntEnv("RDD_CONDENSE_PROP_STEPS",
-                  static_cast<int>(config.propagation_steps), 0, 16);
-  config.eigen_k = env::IntEnv("RDD_CONDENSE_EIGEN_K",
-                               static_cast<int>(config.eigen_k), 1, 256);
-  config.eval_every =
-      env::IntEnv("RDD_CONDENSE_EVAL_EVERY", config.eval_every, 1, 1000);
-  config.warmup_epochs =
-      env::IntEnv("RDD_CONDENSE_WARMUP", config.warmup_epochs, 0, 10000);
   return config;
 }
 
@@ -81,9 +68,7 @@ CondensedGraph CondenseGraph(const Dataset& full,
       observe::MetricsRegistry::Global().counter("condense.runs");
   static observe::Counter& nodes =
       observe::MetricsRegistry::Global().counter("condense.synthetic_nodes");
-  CondensedGraph condensed = config.method == Method::kCluster
-                                 ? ClusterCondense(full, config)
-                                 : EigenCondense(full, config);
+  CondensedGraph condensed = ClusterCondense(full, config);
   runs.Add(1);
   nodes.Add(condensed.dataset.NumNodes());
   return condensed;
@@ -126,33 +111,6 @@ Matrix PseudoLabelScores(const Dataset& full, const CondenseConfig& config) {
     row[full.labels[static_cast<size_t>(i)]] = 1.0f;
   }
   return probs;
-}
-
-void ClassBalancedFill(const std::vector<bool>& needs_label,
-                       int64_t num_classes, std::vector<int64_t>* labels) {
-  RDD_CHECK(labels != nullptr);
-  RDD_CHECK_EQ(needs_label.size(), labels->size());
-  RDD_CHECK_GT(num_classes, 0);
-  std::vector<int64_t> counts(static_cast<size_t>(num_classes), 0);
-  for (size_t i = 0; i < labels->size(); ++i) {
-    if (!needs_label[i]) {
-      const int64_t label = (*labels)[i];
-      RDD_CHECK_GE(label, 0);
-      RDD_CHECK_LT(label, num_classes);
-      ++counts[static_cast<size_t>(label)];
-    }
-  }
-  for (size_t i = 0; i < labels->size(); ++i) {
-    if (!needs_label[i]) continue;
-    int64_t best = 0;
-    for (int64_t c = 1; c < num_classes; ++c) {
-      if (counts[static_cast<size_t>(c)] < counts[static_cast<size_t>(best)]) {
-        best = c;
-      }
-    }
-    (*labels)[i] = best;
-    ++counts[static_cast<size_t>(best)];
-  }
 }
 
 }  // namespace internal

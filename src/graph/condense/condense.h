@@ -13,10 +13,9 @@ namespace rdd::condense {
 enum class Method {
   kOff = 0,      ///< No condensation: train on the full graph.
   kCluster = 1,  ///< k-means over propagated features, one node per cluster.
-  kEigen = 2,    ///< Eigenbasis matching of the normalized adjacency.
 };
 
-/// Human-readable method name ("off", "cluster", "eigen").
+/// Human-readable method name ("off", "cluster").
 const char* MethodName(Method method);
 
 /// Configuration of the graph condensers. Defaults give a ~5% Cora-like
@@ -29,26 +28,19 @@ struct CondenseConfig {
   /// The actual count is clamped to [num_classes, num_nodes].
   double ratio = 0.05;
 
-  /// Cluster method: width of the hashed feature projection (<= 64) and
-  /// rounds of D^-1 (A+I) smoothing applied before clustering — the same
-  /// front end the propagated-feature partitioner uses.
+  /// Width of the hashed feature projection (<= 64) and rounds of
+  /// D^-1 (A+I) smoothing applied before clustering — the same front end
+  /// the propagated-feature partitioner uses.
   int64_t projection_dim = 32;
   int64_t propagation_steps = 2;
   int64_t kmeans_iters = 15;
 
-  /// Cluster method: keep only the `feature_topk` largest entries of each
-  /// synthetic feature row (mean of ~1/ratio member rows, so otherwise far
-  /// denser than any real row), rescaled to preserve the row's mass. Caps
-  /// the condensed SpMM cost — the dominant per-epoch term — and denoises
-  /// the means. 0 keeps every entry.
+  /// Keep only the `feature_topk` largest entries of each synthetic feature
+  /// row (mean of ~1/ratio member rows, so otherwise far denser than any
+  /// real row), rescaled to preserve the row's mass. Caps the condensed
+  /// SpMM cost — the dominant per-epoch term — and denoises the means.
+  /// 0 keeps every entry.
   int64_t feature_topk = 64;
-
-  /// Eigen method: number of leading eigenpairs matched (clamped to the
-  /// synthetic node count) and power-iteration steps per eigenpair. The
-  /// iteration count is FIXED (no tolerance early-exit) so the factorization
-  /// is a pure function of the input at any thread count and backend.
-  int64_t eigen_k = 32;
-  int64_t power_iters = 40;
 
   /// Condensed RDD training validates on the FULL graph every `eval_every`
   /// epochs (full-graph forwards dominate condensed-epoch cost; this
@@ -66,12 +58,10 @@ struct CondenseConfig {
   uint64_t seed = 0xc0deULL;
 
   /// Reads the RDD_CONDENSE_* environment knobs (README "Environment
-  /// variables"): RDD_CONDENSE (off|cluster|eigen, plus the boolean
-  /// spellings where 1/true/on/yes mean cluster), RDD_CONDENSE_RATIO,
-  /// RDD_CONDENSE_PROP_STEPS, RDD_CONDENSE_EIGEN_K,
-  /// RDD_CONDENSE_EVAL_EVERY, and RDD_CONDENSE_WARMUP. Unset variables keep
-  /// the defaults above, except `method`, which defaults to kOff so
-  /// condensation is strictly opt-in.
+  /// variables"): RDD_CONDENSE (off|cluster, plus the boolean spellings
+  /// where 1/true/on/yes mean cluster) and RDD_CONDENSE_RATIO. Unset
+  /// variables keep the defaults above, except `method`, which defaults to
+  /// kOff so condensation is strictly opt-in.
   static CondenseConfig FromEnv();
 };
 
@@ -83,9 +73,7 @@ struct CondenseConfig {
 struct CondensedGraph {
   Dataset dataset;
 
-  /// Cluster method: synthetic node -> the full-graph node ids it merged
-  /// (ascending). Empty for the eigen method, whose synthetic nodes are not
-  /// node subsets.
+  /// Synthetic node -> the full-graph node ids it merged (ascending).
   std::vector<std::vector<int64_t>> members;
 
   int64_t original_nodes = 0;
@@ -98,14 +86,13 @@ struct CondensedGraph {
 int64_t CondensedNodeCount(int64_t num_nodes, int64_t num_classes,
                            double ratio);
 
-/// Dispatches to the configured condenser. config.method must not be kOff.
+/// Runs the configured condenser. config.method must not be kOff.
 ///
-/// Contract (both methods): the result is a pure function of (full, config)
-/// — bit-identical at any RDD_NUM_THREADS and RDD_SIMD backend. Hot loops
-/// (k-means assignment and center updates, power iteration) go through the
-/// dispatched simd kernels and fixed-shape block reductions. Observability:
-/// emits "condense/project", "condense/kmeans", "condense/coarsen" (cluster)
-/// and "condense/power_iteration", "condense/coarsen" (eigen) spans, and
+/// Contract: the result is a pure function of (full, config) — bit-identical
+/// at any RDD_NUM_THREADS and RDD_SIMD backend. Hot loops (k-means
+/// assignment and center updates) go through the dispatched simd kernels
+/// and fixed-shape block reductions. Observability: emits
+/// "condense/project", "condense/kmeans" and "condense/coarsen" spans, and
 /// bumps the "condense.runs" / "condense.synthetic_nodes" counters.
 CondensedGraph CondenseGraph(const Dataset& full, const CondenseConfig& config);
 
@@ -122,30 +109,15 @@ CondensedGraph CondenseGraph(const Dataset& full, const CondenseConfig& config);
 CondensedGraph ClusterCondense(const Dataset& full,
                                const CondenseConfig& config);
 
-/// Spectral condenser: top-k eigenpairs of D^-1/2 (A+I) D^-1/2 by power
-/// iteration with deflation; the synthetic graph's adjacency is W diag(λ) Wᵀ
-/// thresholded to the full graph's edge density, where W is a fixed
-/// orthonormal (DCT-II) basis over the synthetic nodes, and features/labels
-/// are the eigenbasis projections W (Uᵀ X) / argmax of W (Uᵀ Y_train).
-CondensedGraph EigenCondense(const Dataset& full, const CondenseConfig& config);
-
 namespace internal {
 
-/// Per-node class scores both condensers pseudo-label from: row-stochastic
-/// n x num_classes, train rows clamped to their one-hot true labels. With
-/// config.warmup_epochs > 0, the scores are the softmax predictions of a
-/// GCN trained on the train split for that many epochs ("condense/warmup"
-/// span); with 0, harmonic label propagation (alpha = 0.3). Only train
-/// labels are ever read — no val/test leakage.
+/// Per-node class scores the cluster condenser pseudo-labels from:
+/// row-stochastic n x num_classes, train rows clamped to their one-hot true
+/// labels. With config.warmup_epochs > 0, the scores are the softmax
+/// predictions of a GCN trained on the train split for that many epochs
+/// ("condense/warmup" span); with 0, harmonic label propagation
+/// (alpha = 0.3). Only train labels are ever read — no val/test leakage.
 Matrix PseudoLabelScores(const Dataset& full, const CondenseConfig& config);
-
-/// Fills every label slot flagged in `needs_label` with the class that
-/// currently has the fewest assigned labels (ties toward the smaller class
-/// id), processing slots in ascending index order. `labels` must already
-/// hold the anchored assignments; used by both condensers to keep filler
-/// labels class-balanced. Exposed for tests.
-void ClassBalancedFill(const std::vector<bool>& needs_label,
-                       int64_t num_classes, std::vector<int64_t>* labels);
 
 }  // namespace internal
 

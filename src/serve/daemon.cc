@@ -243,10 +243,8 @@ void Daemon::Stop() {
   if (update_thread_.joinable()) update_thread_.join();
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (std::thread& t : conn_threads_) {
-      if (t.joinable()) t.join();
-    }
-    conn_threads_.clear();
+    for (Connection& conn : connections_) conn.thread.join();
+    connections_.clear();
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -360,8 +358,26 @@ void Daemon::UpdateLoop() {
   }
 }
 
+void Daemon::ReapFinishedConnections() {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = connections_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
 void Daemon::AcceptLoop() {
   while (!stopping_.load(std::memory_order_relaxed)) {
+    {
+      // Finished connections are joined here, at least every poll timeout,
+      // so live threads (and their stacks) track open connections rather
+      // than every connection ever accepted.
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      ReapFinishedConnections();
+    }
     pollfd pfd{};
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
@@ -378,7 +394,11 @@ void Daemon::AcceptLoop() {
       ::close(fd);
       break;
     }
-    conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    Connection& conn = connections_.emplace_back();
+    conn.thread = std::thread([this, fd, done = &conn.done] {
+      ServeConnection(fd);
+      done->store(true, std::memory_order_release);
+    });
   }
 }
 

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -175,10 +176,20 @@ class Daemon {
   std::atomic<uint64_t> queries_served_{0};
   std::atomic<uint64_t> swap_failures_{0};
 
+  /// One connection's serving thread; `done` is set as its last action, so
+  /// the accept loop can join it without blocking.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
+  /// Joins and drops every finished connection thread. Requires conn_mu_.
+  void ReapFinishedConnections();
+
   std::thread accept_thread_;
   std::thread update_thread_;
   std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
+  std::list<Connection> connections_;  ///< Stable addresses for `done`.
 
   std::mutex stopped_mu_;
   std::condition_variable stopped_cv_;

@@ -16,11 +16,6 @@ namespace rdd::stream {
 IncrementalConfig IncrementalConfigFromEnv() {
   IncrementalConfig config;
   config.hops = env::IntEnv("RDD_STREAM_HOPS", config.hops, 0, 16);
-  config.max_epochs =
-      env::IntEnv("RDD_STREAM_EPOCHS", config.max_epochs, 1, 10000);
-  config.frontier_boost = static_cast<float>(env::DoubleEnv(
-      "RDD_STREAM_BOOST", static_cast<double>(config.frontier_boost), 0.0,
-      1000.0));
   return config;
 }
 

@@ -35,8 +35,8 @@ struct IncrementalConfig {
   float frontier_boost = 2.0f;
 };
 
-/// Reads RDD_STREAM_HOPS, RDD_STREAM_EPOCHS, and RDD_STREAM_BOOST over the
-/// defaults above (see the README env table).
+/// Reads RDD_STREAM_HOPS over the defaults above (see the README env
+/// table).
 IncrementalConfig IncrementalConfigFromEnv();
 
 /// Outcome of one incremental retrain.

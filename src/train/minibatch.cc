@@ -42,15 +42,10 @@ std::vector<int64_t> ParseFanouts(const char* value,
 
 MiniBatchConfig MiniBatchConfig::FromEnv() {
   MiniBatchConfig config;
-  config.batch_size = env::IntEnv("RDD_MB_BATCH",
-                                  static_cast<int>(config.batch_size), 1,
-                                  1 << 24);
   config.fanouts =
       ParseFanouts(std::getenv("RDD_MB_FANOUT"), config.fanouts);
   config.num_shards = env::IntEnv(
       "RDD_MB_SHARDS", static_cast<int>(config.num_shards), 0, 1 << 20);
-  config.sampled_eval =
-      env::BoolEnv("RDD_MB_SAMPLED_EVAL", config.sampled_eval);
   return config;
 }
 

@@ -34,8 +34,8 @@ struct MiniBatchConfig {
   /// with the model's own rng).
   uint64_t sampler_seed = 0x5eedULL;
 
-  /// Applies RDD_MB_BATCH / RDD_MB_FANOUT (comma list, e.g. "10,10") /
-  /// RDD_MB_SHARDS / RDD_MB_SAMPLED_EVAL on top of the defaults.
+  /// Applies RDD_MB_FANOUT (comma list, e.g. "10,10") / RDD_MB_SHARDS on
+  /// top of the defaults.
   static MiniBatchConfig FromEnv();
 };
 

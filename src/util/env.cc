@@ -37,19 +37,11 @@ const std::vector<KnobInfo>& RegisteredKnobs() {
       {"RDD_METRICS", "0", "observe"},
       {"RDD_TRACE", "unset", "observe"},
       {"RDD_BENCH_FULL", "0", "bench"},
-      {"RDD_MB_BATCH", "256", "train"},
       {"RDD_MB_FANOUT", "10,10", "train"},
       {"RDD_MB_SHARDS", "0", "train"},
-      {"RDD_MB_SAMPLED_EVAL", "0", "train"},
       {"RDD_CONDENSE", "off", "condense"},
       {"RDD_CONDENSE_RATIO", "0.05", "condense"},
-      {"RDD_CONDENSE_PROP_STEPS", "2", "condense"},
-      {"RDD_CONDENSE_EIGEN_K", "32", "condense"},
-      {"RDD_CONDENSE_EVAL_EVERY", "10", "condense"},
-      {"RDD_CONDENSE_WARMUP", "20", "condense"},
       {"RDD_STREAM_HOPS", "2", "stream"},
-      {"RDD_STREAM_EPOCHS", "10", "stream"},
-      {"RDD_STREAM_BOOST", "2.0", "stream"},
   };
   return knobs;
 }

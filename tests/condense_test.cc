@@ -128,7 +128,6 @@ class CondenseTest : public ::testing::Test {
     config.ratio = ratio;
     config.warmup_epochs = 8;
     config.kmeans_iters = 8;
-    config.power_iters = 20;
     return config;
   }
 
@@ -151,43 +150,33 @@ TEST(CondensedNodeCountTest, RoundsAndClamps) {
 TEST(CondenseConfigTest, MethodNames) {
   EXPECT_STREQ(MethodName(Method::kOff), "off");
   EXPECT_STREQ(MethodName(Method::kCluster), "cluster");
-  EXPECT_STREQ(MethodName(Method::kEigen), "eigen");
 }
 
 TEST(CondenseConfigTest, FromEnvReadsKnobsAndDefaultsToOff) {
   EnvVarGuard g1("RDD_CONDENSE");
   EnvVarGuard g2("RDD_CONDENSE_RATIO");
-  EnvVarGuard g3("RDD_CONDENSE_WARMUP");
 
   unsetenv("RDD_CONDENSE");
   unsetenv("RDD_CONDENSE_RATIO");
-  unsetenv("RDD_CONDENSE_WARMUP");
   CondenseConfig defaults = CondenseConfig::FromEnv();
   EXPECT_EQ(defaults.method, Method::kOff);  // strictly opt-in
 
-  setenv("RDD_CONDENSE", "eigen", 1);
+  setenv("RDD_CONDENSE", "cluster", 1);
   setenv("RDD_CONDENSE_RATIO", "0.25", 1);
-  setenv("RDD_CONDENSE_WARMUP", "7", 1);
   CondenseConfig parsed = CondenseConfig::FromEnv();
-  EXPECT_EQ(parsed.method, Method::kEigen);
+  EXPECT_EQ(parsed.method, Method::kCluster);
   EXPECT_DOUBLE_EQ(parsed.ratio, 0.25);
-  EXPECT_EQ(parsed.warmup_epochs, 7);
+
+  // A method that is no longer built (the removed spectral condenser) is
+  // an unrecognized spelling: condensation stays off.
+  setenv("RDD_CONDENSE", "eigen", 1);
+  EXPECT_EQ(CondenseConfig::FromEnv().method, Method::kOff);
 
   // Boolean spellings of RDD_CONDENSE mean "cluster".
   setenv("RDD_CONDENSE", "1", 1);
   EXPECT_EQ(CondenseConfig::FromEnv().method, Method::kCluster);
   setenv("RDD_CONDENSE", "0", 1);
   EXPECT_EQ(CondenseConfig::FromEnv().method, Method::kOff);
-}
-
-TEST(ClassBalancedFillTest, BalancesTowardSmallestClass) {
-  // Slots 0 and 3 anchored to class 1; slots 1, 2, 4 need labels.
-  std::vector<int64_t> labels = {1, -1, -1, 1, -1};
-  std::vector<bool> needs = {false, true, true, false, true};
-  condense::internal::ClassBalancedFill(needs, 3, &labels);
-  // Class counts start {0: 0, 1: 2, 2: 0}; fills go 0, 2, 0 in slot order
-  // (ties toward the smaller class id).
-  EXPECT_EQ(labels, (std::vector<int64_t>{1, 0, 2, 1, 0}));
 }
 
 TEST_F(CondenseTest, ClusterCondenseShapesAndCoverage) {
@@ -236,26 +225,6 @@ TEST_F(CondenseTest, ClusterCondenseShapesAndCoverage) {
   EXPECT_TRUE(ValidateDataset(small.dataset, &error)) << error;
 }
 
-TEST_F(CondenseTest, EigenCondenseShapes) {
-  const CondenseConfig config = MakeConfig(Method::kEigen, 0.1);
-  const CondensedGraph small = CondenseGraph(*dataset_, config);
-
-  const int64_t expect_m = CondensedNodeCount(
-      dataset_->NumNodes(), dataset_->num_classes, config.ratio);
-  EXPECT_EQ(small.dataset.NumNodes(), expect_m);
-  EXPECT_TRUE(small.members.empty());  // synthetic nodes are not subsets
-  EXPECT_GT(small.dataset.graph.num_edges(), 0);
-  EXPECT_FALSE(small.dataset.split.train.empty());
-  EXPECT_TRUE(small.dataset.split.val.empty());
-  EXPECT_TRUE(small.dataset.split.test.empty());
-  for (const int64_t label : small.dataset.labels) {
-    EXPECT_GE(label, 0);
-    EXPECT_LT(label, dataset_->num_classes);
-  }
-  std::string error;
-  EXPECT_TRUE(ValidateDataset(small.dataset, &error)) << error;
-}
-
 TEST_F(CondenseTest, LabelPropagationFallbackWhenWarmupDisabled) {
   CondenseConfig config = MakeConfig(Method::kCluster, 0.08);
   config.warmup_epochs = 0;  // exercises the LP pseudo-label branch
@@ -271,30 +240,26 @@ TEST_F(CondenseTest, CondensersAreBitIdenticalAcrossThreadsAndBackends) {
   ThreadCountGuard thread_guard;
   BackendGuard backend_guard;
 
-  for (const Method method : {Method::kCluster, Method::kEigen}) {
-    const CondenseConfig config = MakeConfig(method, 0.1);
-    parallel::SetNumThreads(1);
-    simd::SetBackend(simd::Backend::kScalar);
-    const CondensedGraph reference = CondenseGraph(*dataset_, config);
+  const CondenseConfig config = MakeConfig(Method::kCluster, 0.1);
+  parallel::SetNumThreads(1);
+  simd::SetBackend(simd::Backend::kScalar);
+  const CondensedGraph reference = CondenseGraph(*dataset_, config);
 
-    for (const simd::Backend backend :
-         {simd::Backend::kScalar, simd::Backend::kAvx2,
-          simd::Backend::kNeon}) {
-      if (!simd::BackendSupported(backend)) continue;
-      for (const int threads : {1, 4}) {
-        SCOPED_TRACE(std::string(MethodName(method)) + " backend=" +
-                     simd::BackendName(backend) +
-                     " threads=" + std::to_string(threads));
-        parallel::SetNumThreads(threads);
-        simd::SetBackend(backend);
-        ExpectCondensedEq(reference, CondenseGraph(*dataset_, config));
-      }
+  for (const simd::Backend backend :
+       {simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kNeon}) {
+    if (!simd::BackendSupported(backend)) continue;
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string("backend=") + simd::BackendName(backend) +
+                   " threads=" + std::to_string(threads));
+      parallel::SetNumThreads(threads);
+      simd::SetBackend(backend);
+      ExpectCondensedEq(reference, CondenseGraph(*dataset_, config));
     }
   }
 }
 
 TEST_F(CondenseTest, CondensersIgnoreValAndTestLabels) {
-  // Scrambling every val/test label must leave both condensers' outputs
+  // Scrambling every val/test label must leave the condenser's output
   // bit-identical: only train-split labels may be read (no leakage).
   Dataset scrambled = *dataset_;
   for (const int64_t v : scrambled.split.val) {
@@ -303,12 +268,9 @@ TEST_F(CondenseTest, CondensersIgnoreValAndTestLabels) {
   for (const int64_t v : scrambled.split.test) {
     scrambled.labels[v] = (scrambled.labels[v] + 2) % scrambled.num_classes;
   }
-  for (const Method method : {Method::kCluster, Method::kEigen}) {
-    SCOPED_TRACE(MethodName(method));
-    const CondenseConfig config = MakeConfig(method, 0.1);
-    ExpectCondensedEq(CondenseGraph(*dataset_, config),
-                      CondenseGraph(scrambled, config));
-  }
+  const CondenseConfig config = MakeConfig(Method::kCluster, 0.1);
+  ExpectCondensedEq(CondenseGraph(*dataset_, config),
+                    CondenseGraph(scrambled, config));
 }
 
 TEST_F(CondenseTest, TrainRddCondensedOffDelegatesToTrainRdd) {

@@ -12,6 +12,7 @@
 #include "serve/daemon.h"
 
 #include <fcntl.h>
+#include <malloc.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -39,8 +40,12 @@
 namespace rdd {
 namespace {
 
+/// A per-process temp path. ctest runs each case as its own process, in
+/// parallel; shared socket paths would let one case's client reach (or
+/// shut down) another case's daemon.
 std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  return std::string(::testing::TempDir()) + "/" +
+         std::to_string(::getpid()) + "_" + name;
 }
 
 Dataset TinyDataset(uint64_t seed) {
@@ -205,6 +210,52 @@ TEST(DaemonTest, HostilePredictCountIsRejectedBeforeAllocating) {
   EXPECT_EQ(labels->size(), 3u);
   ASSERT_TRUE(client->Shutdown().ok());
   (*daemon)->Wait();
+}
+
+/// The process's virtual size (VmSize in /proc/self/status) in KiB; -1 when
+/// unavailable. Thread stacks are mapped up front, so every thread that is
+/// never joined keeps its whole stack in VmSize.
+int64_t VmSizeKib() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  char line[256];
+  int64_t kib = -1;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    long long value = 0;
+    if (std::sscanf(line, "VmSize: %lld kB", &value) == 1) {
+      kib = value;
+      break;
+    }
+  }
+  std::fclose(f);
+  return kib;
+}
+
+TEST(DaemonTest, FinishedConnectionThreadsAreReaped) {
+  DaemonFixture f;
+  f.WriteInputs();
+  StatusOr<std::unique_ptr<Daemon>> daemon = Daemon::Start(f.Options());
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+
+  const auto cycle = [&] {
+    StatusOr<DaemonClient> client = DaemonClient::Connect(f.socket_path);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    StatusOr<std::vector<int64_t>> labels = client->PredictLabels({0, 1, 2});
+    ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  };
+  // Warm-up: the first connections fill glibc's cache of freed thread
+  // stacks, a one-time VmSize growth (~24 MiB here) independent of reaping.
+  for (int i = 0; i < 10; ++i) cycle();
+  const int64_t before = VmSizeKib();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status";
+
+  // Sequential connect -> predict -> close. Each connection gets its own
+  // thread with an 8 MiB stack; kept unjoined until Stop(), 200 of them
+  // would grow VmSize by ~1.6 GiB.
+  for (int i = 0; i < 200; ++i) cycle();
+  const int64_t grown_mib = (VmSizeKib() - before) / 1024;
+  EXPECT_LT(grown_mib, 64) << "VmSize grew by " << grown_mib << " MiB";
+  (*daemon)->Stop();
 }
 
 TEST(DaemonTest, HotSwapAdvancesGenerationWithoutDroppingQueries) {
@@ -408,6 +459,14 @@ int main(int argc, char** argv) {
   // checkpoint loader) may have already failed and closed its end; without
   // this the resulting EPIPE raises SIGPIPE and kills the whole binary.
   signal(SIGPIPE, SIG_IGN);
+#ifdef M_ARENA_MAX
+  // FinishedConnectionThreadsAreReaped measures leaked thread stacks by
+  // VmSize. glibc gives each concurrently live thread its own malloc arena
+  // and reserves 64 MiB of address space per arena, so how often two
+  // connection threads happened to overlap would swamp that measure. One
+  // arena keeps VmSize about stacks.
+  mallopt(M_ARENA_MAX, 1);
+#endif
   if (argc == 5 && std::string(argv[1]) == "--daemon-child") {
     return rdd::DaemonChildMain(argv[2], argv[3], argv[4]);
   }

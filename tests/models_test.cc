@@ -1,4 +1,5 @@
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -55,16 +56,16 @@ TEST_F(ModelsTest, GraphContextShapes) {
 
 struct ModelCase {
   ModelKind kind;
-  // Occupies what would be padding after `kind`. gtest prints the raw bytes
-  // of the parameter into each listed test name, so uninitialised padding
-  // made the names of these cases change from run to run.
-  int32_t unused = 0;
   int64_t num_layers;
   const char* name;
 };
 
-ModelCase Case(ModelKind kind, int64_t num_layers, const char* name) {
-  return ModelCase{kind, 0, num_layers, name};
+// gtest prints each parameter into the listed test name; without this it
+// prints the struct's raw bytes, `name`'s pointer value included, so the
+// names would change from run to run.
+void PrintTo(const ModelCase& mcase, std::ostream* os) {
+  *os << ModelKindToString(mcase.kind) << ", " << mcase.num_layers << ", "
+      << mcase.name;
 }
 
 class ModelZooTest : public ModelsTest,
@@ -106,16 +107,16 @@ TEST_P(ModelZooTest, TrainingImprovesOverInitialization) {
 
 INSTANTIATE_TEST_SUITE_P(
     Zoo, ModelZooTest,
-    ::testing::Values(Case(ModelKind::kGcn, 2, "gcn2"),
-                      Case(ModelKind::kGcn, 3, "gcn3"),
-                      Case(ModelKind::kResGcn, 3, "resgcn3"),
-                      Case(ModelKind::kResGcn, 4, "resgcn4"),
-                      Case(ModelKind::kDenseGcn, 3, "densegcn3"),
-                      Case(ModelKind::kJkNet, 3, "jknet3"),
-                      Case(ModelKind::kAppnp, 2, "appnp"),
-                      Case(ModelKind::kMlp, 2, "mlp"),
-                      Case(ModelKind::kGraphSage, 2, "sage2"),
-                      Case(ModelKind::kGraphSage, 3, "sage3")),
+    ::testing::Values(ModelCase{ModelKind::kGcn, 2, "gcn2"},
+                      ModelCase{ModelKind::kGcn, 3, "gcn3"},
+                      ModelCase{ModelKind::kResGcn, 3, "resgcn3"},
+                      ModelCase{ModelKind::kResGcn, 4, "resgcn4"},
+                      ModelCase{ModelKind::kDenseGcn, 3, "densegcn3"},
+                      ModelCase{ModelKind::kJkNet, 3, "jknet3"},
+                      ModelCase{ModelKind::kAppnp, 2, "appnp"},
+                      ModelCase{ModelKind::kMlp, 2, "mlp"},
+                      ModelCase{ModelKind::kGraphSage, 2, "sage2"},
+                      ModelCase{ModelKind::kGraphSage, 3, "sage3"}),
     [](const ::testing::TestParamInfo<ModelCase>& info) {
       return info.param.name;
     });

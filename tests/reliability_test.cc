@@ -1,10 +1,13 @@
 #include "core/reliability.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "graph/graph.h"
 #include "tensor/ops.h"
 
 namespace rdd {
@@ -25,6 +28,14 @@ Matrix MakeProbs(const std::vector<int64_t>& preds, int64_t k,
         static_cast<float>(confidence[i]);
   }
   return probs;
+}
+
+/// The graph's canonical edge list as the (u, v) pairs Algorithm 2 filters
+/// (what ViewEdges returns for a full-graph view).
+std::vector<std::pair<int64_t, int64_t>> EdgePairs(const Graph& graph) {
+  std::vector<std::pair<int64_t, int64_t>> pairs;
+  for (const Edge& e : graph.edges()) pairs.emplace_back(e.u, e.v);
+  return pairs;
 }
 
 TEST(PercentileTest, BasicThresholds) {
@@ -201,7 +212,7 @@ TEST(EdgeReliabilityTest, RequiresBothEndpointsReliableAndAgreeing) {
   const Graph g = MakePathGraph(4);
   const std::vector<bool> reliable = {true, true, true, false};
   const std::vector<int64_t> preds = {0, 0, 1, 1};
-  const auto edges = ComputeReliableEdges(g, reliable, preds);
+  const auto edges = ComputeReliableEdges(EdgePairs(g), reliable, preds);
   // Edge (0,1): both reliable, same class -> kept.
   // Edge (1,2): classes differ -> dropped.
   // Edge (2,3): node 3 unreliable -> dropped.
@@ -213,14 +224,14 @@ TEST(EdgeReliabilityTest, RequiresBothEndpointsReliableAndAgreeing) {
 TEST(EdgeReliabilityTest, AllReliableSameClassKeepsAll) {
   const Graph g = MakeCompleteGraph(4);
   const auto edges = ComputeReliableEdges(
-      g, std::vector<bool>(4, true), std::vector<int64_t>(4, 2));
+      EdgePairs(g), std::vector<bool>(4, true), std::vector<int64_t>(4, 2));
   EXPECT_EQ(static_cast<int64_t>(edges.size()), g.num_edges());
 }
 
 TEST(EdgeReliabilityTest, NoneReliableKeepsNone) {
   const Graph g = MakeCompleteGraph(4);
   const auto edges = ComputeReliableEdges(
-      g, std::vector<bool>(4, false), std::vector<int64_t>(4, 0));
+      EdgePairs(g), std::vector<bool>(4, false), std::vector<int64_t>(4, 0));
   EXPECT_TRUE(edges.empty());
 }
 

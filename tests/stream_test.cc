@@ -388,20 +388,10 @@ TEST_F(StreamTest, IncrementalRetrainIsDeterministicAndAboveChance) {
 
 TEST_F(StreamTest, IncrementalConfigFromEnvReadsKnobs) {
   // EnvVarGuard idiom from condense_test: save, mutate, restore.
-  struct Saved {
-    const char* name;
-    std::string value;
-    bool had = false;
-  } saved[] = {{"RDD_STREAM_HOPS", "", false},
-               {"RDD_STREAM_EPOCHS", "", false},
-               {"RDD_STREAM_BOOST", "", false}};
-  for (auto& s : saved) {
-    if (const char* v = std::getenv(s.name)) {
-      s.had = true;
-      s.value = v;
-    }
-    unsetenv(s.name);
-  }
+  const char* saved_value = std::getenv("RDD_STREAM_HOPS");
+  const bool had = saved_value != nullptr;
+  const std::string saved = had ? saved_value : "";
+  unsetenv("RDD_STREAM_HOPS");
 
   const IncrementalConfig defaults = stream::IncrementalConfigFromEnv();
   EXPECT_EQ(defaults.hops, 2);
@@ -409,19 +399,13 @@ TEST_F(StreamTest, IncrementalConfigFromEnvReadsKnobs) {
   EXPECT_FLOAT_EQ(defaults.frontier_boost, 2.0f);
 
   setenv("RDD_STREAM_HOPS", "3", 1);
-  setenv("RDD_STREAM_EPOCHS", "17", 1);
-  setenv("RDD_STREAM_BOOST", "4.5", 1);
   const IncrementalConfig parsed = stream::IncrementalConfigFromEnv();
   EXPECT_EQ(parsed.hops, 3);
-  EXPECT_EQ(parsed.max_epochs, 17);
-  EXPECT_FLOAT_EQ(parsed.frontier_boost, 4.5f);
 
-  for (auto& s : saved) {
-    if (s.had) {
-      setenv(s.name, s.value.c_str(), 1);
-    } else {
-      unsetenv(s.name);
-    }
+  if (had) {
+    setenv("RDD_STREAM_HOPS", saved.c_str(), 1);
+  } else {
+    unsetenv("RDD_STREAM_HOPS");
   }
 }
 
