@@ -2,7 +2,9 @@
 //
 // Each test runs one entry point on a small fixed dataset and hashes what it
 // produced with FNV-1a 64: the ensemble weights, every report's epoch count
-// and validation history, and the final probabilities. The expected values
+// and validation history, and the final probabilities. PredictorAnswers pins
+// what the serving Predictor answers for a distilled-MLP and an ensemble
+// checkpoint in the same way. The expected values
 // were recorded from the implementation these entry points had before they
 // were folded onto one student chain and one epoch loop, so a refactor that
 // drifts by a single ulp anywhere in training fails here. The thread,
@@ -16,8 +18,11 @@
 // (-march=native, AArch64), float results legitimately differ and the
 // fingerprints are skipped.
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -28,6 +33,7 @@
 #include "core/rdd_trainer.h"
 #include "data/citation_gen.h"
 #include "models/model_factory.h"
+#include "serve/predictor.h"
 #include "stream/graph_delta.h"
 #include "stream/incremental_rdd.h"
 #include "stream/streaming_graph.h"
@@ -272,6 +278,48 @@ TEST_F(FingerprintTest, DistillToMlp) {
       DistillToMlp(*dataset_, *context_, rdd.teacher, config, 11);
   EXPECT_FINGERPRINT(Fingerprint(result.report, result.student.get()),
                      0x4401982110aceb96ULL);
+}
+
+/// Saves `checkpoint`, loads it into a Predictor over `context` and hashes
+/// the probabilities it answers for every node, asked in one call.
+uint64_t PredictorFingerprint(const Checkpoint& checkpoint,
+                              const GraphContext& context,
+                              const std::string& name) {
+  const std::string path = std::string(::testing::TempDir()) +
+                           "/fingerprint_" + name + "_" +
+                           std::to_string(getpid()) + ".rddc";
+  EXPECT_TRUE(SaveCheckpoint(checkpoint, path).ok());
+  StatusOr<Predictor> predictor = Predictor::FromCheckpoint(path, context);
+  std::remove(path.c_str());
+  EXPECT_TRUE(predictor.ok()) << predictor.status().ToString();
+  if (!predictor.ok()) return 0;
+  std::vector<int64_t> nodes(static_cast<size_t>(context.num_nodes));
+  std::iota(nodes.begin(), nodes.end(), int64_t{0});
+  StatusOr<Matrix> probs = predictor->PredictProbs(nodes);
+  EXPECT_TRUE(probs.ok()) << probs.status().ToString();
+  if (!probs.ok()) return 0;
+  Fnv1a h;
+  h.Floats(*probs);
+  return h.value();
+}
+
+TEST_F(FingerprintTest, PredictorAnswers) {
+  const RddConfig rdd_config = FastConfig();
+  const RddResult rdd = TrainRdd(*dataset_, *context_, rdd_config, 5);
+  DistillConfig config;
+  config.train.max_epochs = 60;
+  config.train.patience = 20;
+  const DistillResult distilled =
+      DistillToMlp(*dataset_, *context_, rdd.teacher, config, 11);
+  EXPECT_FINGERPRINT(
+      PredictorFingerprint(CheckpointFromDistilled(*distilled.student, "mlp"),
+                           *context_, "mlp"),
+      0x4e4dcd1a6662bcf1ULL);
+  EXPECT_FINGERPRINT(
+      PredictorFingerprint(
+          CheckpointFromRdd(rdd, rdd_config.base_model, "ensemble"),
+          *context_, "ensemble"),
+      0x93fb23e31957d3a1ULL);
 }
 
 }  // namespace
