@@ -23,7 +23,6 @@
 #include "graph/normalize.h"
 #include "graph/pagerank.h"
 #include "simd/simd.h"
-#include "tensor/bf16.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
 #include "tensor/sparse.h"
@@ -537,34 +536,6 @@ void BM_SoftmaxXentChain(benchmark::State& state) {
                           static_cast<int64_t>(indices.size()) * 7);
 }
 BENCHMARK(BM_SoftmaxXentChain)->ArgNames({"fused"})->Arg(0)->Arg(1);
-
-// ---------------------------------------------------------------------------
-// bf16 serving-tier GEMM (EXPERIMENTS.md "bf16 serving tier"): arg0 = 0
-// fp32 weights / 1 bf16-packed weights, arg1 = shape. Same strict-order
-// fp32 accumulation; the bf16 win is the halved weight-panel traffic.
-// ---------------------------------------------------------------------------
-
-void BM_GemmWeightPrecision(benchmark::State& state) {
-  ThreadCountOverride threads(1);
-  const ChainShape& s = kChainShapes[state.range(1)];
-  const bool bf16 = state.range(0) == 1;
-  Rng rng(14);
-  const Matrix x = RandomMatrix(s.m, s.k, &rng);
-  const Matrix w = RandomMatrix(s.k, s.n, &rng);
-  const Bf16Matrix w16 = Bf16Matrix::Pack(w);
-  for (auto _ : state) {
-    if (bf16) {
-      benchmark::DoNotOptimize(MatmulBf16(x, w16));
-    } else {
-      benchmark::DoNotOptimize(Matmul(x, w));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * s.m * s.k * s.n);
-}
-BENCHMARK(BM_GemmWeightPrecision)
-    ->ArgNames({"bf16", "shape"})
-    ->Args({0, 0})->Args({1, 0})
-    ->Args({0, 3})->Args({1, 3});
 
 void BM_NodeReliabilityUpdate(benchmark::State& state) {
   // The per-epoch reliability refresh (Algorithm 1) RDD pays for.

@@ -1,12 +1,7 @@
 #include "models/mlp_student.h"
 
 #include "autograd/ops.h"
-#include "parallel/parallel_for.h"
-#include "simd/simd.h"
-#include "tensor/bf16.h"
-#include "tensor/ops.h"
 #include "util/logging.h"
-#include "util/runtime_flags.h"
 
 namespace rdd {
 
@@ -40,101 +35,6 @@ ModelOutput MlpStudent::Forward(const GraphView& view, bool training) {
     h = l == last ? layers_[l]->Forward(h) : layers_[l]->ForwardRelu(h);
   }
   return ModelOutput{h, h};
-}
-
-void MlpStudent::EnableBf16Serving() {
-  bf16_weights_.clear();
-  bf16_weights_.reserve(layers_.size());
-  for (const std::unique_ptr<Linear>& layer : layers_) {
-    bf16_weights_.push_back(Bf16Matrix::Pack(layer->weight().value()));
-  }
-}
-
-Matrix MlpStudent::PredictLogitsRows(const std::vector<int64_t>& nodes) const {
-  const SparseMatrix& x = *context_.features;
-  const int64_t batch = static_cast<int64_t>(nodes.size());
-  const Linear& first = *layers_[0];
-  const Matrix& w0 = first.weight().value();
-  const int64_t width = w0.cols();
-  const size_t last = layers_.size() - 1;
-  const bool bf16 = bf16_serving();
-  const bool fuse = flags::FuseEnabled();
-  const auto& kt = simd::K();
-
-  // First layer: gather each queried node's sparse feature row and expand
-  // it against W0 directly — the only layer whose input is feature_dim
-  // wide, and the reason serving never materializes a dense feature matrix.
-  Matrix h(batch, width);
-  const std::vector<int64_t>& row_ptr = x.row_ptr();
-  const std::vector<int64_t>& col_idx = x.col_idx();
-  const std::vector<float>& values = x.values();
-  const int64_t avg_nnz = x.rows() > 0 ? x.nnz() / x.rows() : 0;
-  const int64_t grain = parallel::GrainForCost((avg_nnz + 1) * width);
-  parallel::ParallelFor(0, batch, grain, [&](int64_t begin, int64_t end) {
-    for (int64_t b = begin; b < end; ++b) {
-      const int64_t r = nodes[static_cast<size_t>(b)];
-      RDD_CHECK_GE(r, 0);
-      RDD_CHECK_LT(r, x.rows());
-      float* out = h.RowData(b);
-      const int64_t k_begin = row_ptr[static_cast<size_t>(r)];
-      const int64_t k_end = row_ptr[static_cast<size_t>(r) + 1];
-      if (bf16) {
-        const Bf16Matrix& bw0 = bf16_weights_[0];
-        for (int64_t k = k_begin; k < k_end; ++k) {
-          kt.axpy_bf16(values[static_cast<size_t>(k)],
-                       bw0.RowData(col_idx[static_cast<size_t>(k)]), out,
-                       width);
-        }
-      } else {
-        for (int64_t k = k_begin; k < k_end; ++k) {
-          const float v = values[static_cast<size_t>(k)];
-          const float* w_row = w0.RowData(col_idx[static_cast<size_t>(k)]);
-          for (int64_t c = 0; c < width; ++c) out[c] += v * w_row[c];
-        }
-      }
-    }
-  });
-
-  // First-layer epilogue. With fusion on and a hidden layer above, the
-  // ReLU rides the bias pass; otherwise `pending_relu` defers it to the
-  // seed position at the top of the next layer's iteration (per-element
-  // identical either way — bias_relu IS add-then-relu).
-  bool pending_relu = false;
-  if (fuse && last > 0 && first.bias().defined()) {
-    const float* bias = first.bias().value().RowData(0);
-    for (int64_t b = 0; b < batch; ++b) kt.bias_relu(bias, h.RowData(b), width);
-  } else {
-    if (first.bias().defined()) h = AddRowBroadcast(h, first.bias().value());
-    pending_relu = last > 0;
-  }
-
-  // Remaining layers are small dense GEMMs over the batch; hidden layers
-  // take the fused bias + ReLU epilogue, the last layer stays linear. With
-  // RDD_BF16 serving enabled the weight operand streams from the packed
-  // bf16 copy instead.
-  for (size_t l = 1; l < layers_.size(); ++l) {
-    if (pending_relu) {
-      h = Relu(h);
-      pending_relu = false;
-    }
-    const Linear& layer = *layers_[l];
-    const bool relu_out = l < last;
-    if (fuse && relu_out && layer.bias().defined()) {
-      h = bf16 ? MatmulBf16BiasRelu(h, bf16_weights_[l], layer.bias().value())
-               : MatmulBiasRelu(h, layer.weight().value(),
-                                layer.bias().value());
-    } else {
-      h = bf16 ? MatmulBf16(h, bf16_weights_[l])
-               : Matmul(h, layer.weight().value());
-      if (layer.bias().defined()) h = AddRowBroadcast(h, layer.bias().value());
-      pending_relu = relu_out;
-    }
-  }
-  return h;
-}
-
-Matrix MlpStudent::PredictProbsRows(const std::vector<int64_t>& nodes) const {
-  return SoftmaxRows(PredictLogitsRows(nodes));
 }
 
 }  // namespace rdd

@@ -7,8 +7,6 @@
 
 #include "models/graph_model.h"
 #include "nn/linear.h"
-#include "tensor/bf16.h"
-#include "tensor/sparse.h"
 
 namespace rdd {
 
@@ -17,10 +15,9 @@ namespace rdd {
 /// Distillation into MLPs"): a graph-blind MLP over node features, trained
 /// by src/core/distill against the RDD ensemble's soft labels. Unlike the
 /// 2-layer test-control Mlp, the student has a configurable depth/width
-/// (distillation needs capacity headroom over the teacher) and a tape-free
-/// batched inference path that touches only the queried feature rows — no
-/// SpMM, no full-graph pass — which is what makes microsecond-latency
-/// serving possible.
+/// (distillation needs capacity headroom over the teacher). Serving needs no
+/// path of its own: the Predictor runs one full-view Forward per generation
+/// and answers every query by row gather (serve/predictor.h).
 class MlpStudent : public GraphModel {
  public:
   /// Builds a `num_layers`-deep MLP (feature_dim -> hidden_dim x
@@ -35,34 +32,12 @@ class MlpStudent : public GraphModel {
   using GraphModel::Forward;
   ModelOutput Forward(const GraphView& view, bool training) override;
 
-  /// Serving path: evaluation-mode logits for exactly the listed nodes,
-  /// computed from their sparse feature rows with no autograd tape and no
-  /// full-graph work. Cost is O(batch * (nnz_per_row + hidden) * hidden).
-  /// Deterministic and batch-invariant: a node's row is bit-identical
-  /// whatever batch it is computed in.
-  Matrix PredictLogitsRows(const std::vector<int64_t>& nodes) const;
-
-  /// Softmax of PredictLogitsRows.
-  Matrix PredictProbsRows(const std::vector<int64_t>& nodes) const;
-
-  /// Snapshots every layer's weight matrix into bf16 storage (biases stay
-  /// fp32) and switches PredictLogitsRows to the bf16 fast path: half the
-  /// weight bytes per query, fp32 accumulation, results tolerance-equal to
-  /// the fp32 path (see DESIGN.md "Kernel fusion and the bf16 serving
-  /// tier"). Serving-only: training forwards keep reading the fp32
-  /// parameters, so call this after the weights are final — model_io does,
-  /// at checkpoint load, when RDD_BF16=1.
-  void EnableBf16Serving();
-  bool bf16_serving() const { return !bf16_weights_.empty(); }
-
   int64_t num_layers() const { return static_cast<int64_t>(layers_.size()); }
   int64_t hidden_dim() const { return hidden_dim_; }
   float dropout() const { return dropout_; }
 
  private:
   std::vector<std::unique_ptr<Linear>> layers_;
-  /// Non-empty iff EnableBf16Serving ran: one packed weight per layer.
-  std::vector<Bf16Matrix> bf16_weights_;
   int64_t hidden_dim_;
   float dropout_;
 };

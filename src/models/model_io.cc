@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "autograd/variable.h"
-#include "models/mlp_student.h"
-#include "util/runtime_flags.h"
 #include "util/string_util.h"
 
 namespace rdd {
@@ -136,15 +134,6 @@ StatusOr<std::unique_ptr<GraphModel>> ModelFromRecord(
           static_cast<long long>(current.cols())));
     }
     *param.mutable_value() = stored;
-  }
-  // Checkpoint load is the "weights are final" moment, so the bf16 serving
-  // tier (RDD_BF16=1) snapshots here: students loaded for serving answer
-  // from packed bf16 weights, while training-time students — built
-  // directly, not through a record — are never affected.
-  if (flags::Bf16Enabled()) {
-    if (auto* student = dynamic_cast<MlpStudent*>(model.get())) {
-      student->EnableBf16Serving();
-    }
   }
   return model;
 }

@@ -160,15 +160,13 @@ int ReadFrame(int fd, std::vector<uint8_t>* out,
 
 StatusOr<std::shared_ptr<Daemon::Generation>> Daemon::LoadGeneration(
     const std::string& checkpoint_path, const std::string& dataset_path,
-    int64_t batch_size, uint64_t number) {
+    uint64_t number) {
   auto generation = std::make_shared<Generation>();
   StatusOr<Dataset> dataset = LoadDataset(dataset_path);
   if (!dataset.ok()) return dataset.status();
   generation->context = GraphContext::FromDataset(*dataset);
-  Predictor::Options predictor_options;
-  predictor_options.batch_size = batch_size;
-  StatusOr<Predictor> predictor = Predictor::FromCheckpoint(
-      checkpoint_path, generation->context, predictor_options);
+  StatusOr<Predictor> predictor =
+      Predictor::FromCheckpoint(checkpoint_path, generation->context);
   if (!predictor.ok()) return predictor.status();
   generation->predictor = std::move(*predictor);
   generation->number = number;
@@ -194,7 +192,7 @@ StatusOr<std::unique_ptr<Daemon>> Daemon::Start(const DaemonOptions& options) {
   daemon->options_ = options;
   StatusOr<std::shared_ptr<Generation>> initial =
       LoadGeneration(options.checkpoint_path, options.dataset_path,
-                     options.batch_size, /*number=*/1);
+                     /*number=*/1);
   if (!initial.ok()) return initial.status();
   daemon->current_ = std::move(*initial);
 
@@ -229,16 +227,24 @@ StatusOr<std::unique_ptr<Daemon>> Daemon::Start(const DaemonOptions& options) {
 
 Daemon::~Daemon() { Stop(); }
 
-void Daemon::Stop() {
-  const bool was_stopping = stopping_.exchange(true);
-  if (!was_stopping) {
-    queue_cv_.notify_all();
-    if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+void Daemon::RequestStop() {
+  {
+    std::scoped_lock lock(queue_mu_, stopped_mu_);
+    if (stopping_.exchange(true)) return;
   }
+  queue_cv_.notify_all();
+  stopped_cv_.notify_all();
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+}
+
+void Daemon::Stop() {
+  RequestStop();
   // Join exactly once; later callers (destructor after an explicit Stop,
-  // concurrent stops) wait for the first to finish.
-  std::lock_guard<std::mutex> stop_lock(stopped_mu_);
-  if (stopped_) return;
+  // concurrent stops) wait for the first to finish. A separate mutex from
+  // stopped_mu_, because a kShutdown connection thread may still be in
+  // RequestStop() while this one joins it.
+  std::lock_guard<std::mutex> join_lock(join_mu_);
+  if (joined_) return;
   if (accept_thread_.joinable()) accept_thread_.join();
   if (update_thread_.joinable()) update_thread_.join();
   {
@@ -251,8 +257,7 @@ void Daemon::Stop() {
     listen_fd_ = -1;
     ::unlink(options_.socket_path.c_str());
   }
-  stopped_ = true;
-  stopped_cv_.notify_all();
+  joined_ = true;
 }
 
 void Daemon::Wait() {
@@ -269,10 +274,10 @@ std::shared_ptr<Daemon::Generation> Daemon::Current() const {
 
 Status Daemon::EnqueueSwap(const std::string& checkpoint_path,
                            const std::string& dataset_path) {
+  std::lock_guard<std::mutex> lock(queue_mu_);
   if (stopping_.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition("daemon is stopping");
   }
-  std::lock_guard<std::mutex> lock(queue_mu_);
   if (queue_.size() >=
       static_cast<size_t>(options_.update_queue_capacity)) {
     return Status::FailedPrecondition("update queue full");
@@ -286,7 +291,8 @@ StatusOr<std::vector<int64_t>> Daemon::PredictLabels(
     const std::vector<int64_t>& nodes) {
   // Pin one generation for the whole query: the shared_ptr keeps it alive
   // across a concurrent swap, and its per-generation lock serializes
-  // forwards without ever contending with the swap publish.
+  // queries (the first builds the table) without ever contending with the
+  // swap publish.
   const std::shared_ptr<Generation> generation = Current();
   std::lock_guard<std::mutex> lock(generation->mu);
   StatusOr<std::vector<int64_t>> labels =
@@ -331,28 +337,28 @@ void Daemon::UpdateLoop() {
             ? [&]() -> StatusOr<std::shared_ptr<Generation>> {
                 auto generation = std::make_shared<Generation>();
                 generation->context = Current()->context;
-                Predictor::Options predictor_options;
-                predictor_options.batch_size = options_.batch_size;
                 StatusOr<Predictor> predictor = Predictor::FromCheckpoint(
-                    request.checkpoint_path, generation->context,
-                    predictor_options);
+                    request.checkpoint_path, generation->context);
                 if (!predictor.ok()) return predictor.status();
                 generation->predictor = std::move(*predictor);
                 generation->num_nodes = generation->context.num_nodes;
                 return generation;
               }()
             : LoadGeneration(request.checkpoint_path, request.dataset_path,
-                             options_.batch_size, /*number=*/0);
+                             /*number=*/0);
     if (!next.ok()) {
       swap_failures_.fetch_add(1, std::memory_order_relaxed);
       RDD_LOG(Warning) << "hot swap to " << request.checkpoint_path
                        << " failed: " << next.status().ToString();
       continue;
     }
+    // The replaced generation is released after the lock, and only once
+    // the last query pinning it has finished.
+    std::shared_ptr<Generation> replaced;
     {
       std::lock_guard<std::mutex> lock(current_mu_);
       (*next)->number = current_->number + 1;
-      previous_ = std::move(current_);  // Double buffer: kept alive.
+      replaced = std::move(current_);
       current_ = std::move(*next);
     }
   }
@@ -413,10 +419,7 @@ void Daemon::ServeConnection(int fd) {
         payload[0] == static_cast<uint8_t>(DaemonOp::kShutdown)) {
       // Response is out; now initiate the stop (joining happens in Stop(),
       // never on this thread).
-      stopping_.store(true);
-      queue_cv_.notify_all();
-      if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-      stopped_cv_.notify_all();
+      RequestStop();
       break;
     }
   }

@@ -69,8 +69,6 @@ struct DaemonOptions {
   std::string checkpoint_path;
   /// Serialized Dataset the initial graph context is built from.
   std::string dataset_path;
-  /// Predictor batch size (Predictor::Options).
-  int64_t batch_size = 256;
   /// Bound of the update queue; kSwap returns kBusy beyond it.
   int update_queue_capacity = 4;
 };
@@ -84,18 +82,21 @@ struct DaemonOptions {
 /// generation entirely off the serving path — checkpoint load, graph
 /// rebuild, model construction — and publish it with one pointer assignment
 /// under a mutex held for O(1); queries never observe a half-loaded
-/// generation and are never blocked by a load. The previous generation is
-/// retained (double buffer) until its last in-flight query completes, so
-/// answers are always internally consistent: a query runs wholly against
-/// generation g or wholly against g+1, never a mix. On-disk consistency is
-/// the checkpoint writer's job (SaveCheckpoint is atomic), so killing the
-/// daemon mid-swap can never leave a torn file — tests/daemon_test.cc
-/// proves both properties.
+/// generation and are never blocked by a load. Every query pins its
+/// generation through a shared_ptr, which keeps a replaced generation alive
+/// until its last in-flight query completes, so answers are always
+/// internally consistent: a query runs wholly against generation g or
+/// wholly against g+1, never a mix. No load runs a forward: the first query
+/// on a generation builds its Predictor's probability table, and every
+/// later one gathers rows from it. On-disk consistency is the checkpoint
+/// writer's job (SaveCheckpoint is atomic), so killing the daemon mid-swap
+/// can never leave a torn file — tests/daemon_test.cc proves both
+/// properties.
 ///
 /// Thread-safety: all public methods are safe to call from any thread.
-/// Queries from concurrent connections are serialized per generation
-/// (GraphModel::Forward mutates model scratch state); the serving lock is
-/// per-generation, so a swap never contends with it.
+/// Queries from concurrent connections are serialized per generation (the
+/// first one builds the table); the serving lock is per-generation, so a
+/// swap never contends with it.
 ///
 /// Determinism: predictions are the Predictor's (bit-identical to a fresh
 /// Predictor over the same checkpoint at any thread count / backend);
@@ -133,8 +134,9 @@ class Daemon {
   const std::string& socket_path() const { return options_.socket_path; }
 
  private:
-  /// One immutable serving generation. `mu` serializes forwards on this
-  /// generation's models; it is never held while loading the next one.
+  /// One immutable serving generation. `mu` serializes queries on this
+  /// generation's Predictor (the first builds its table); it is never held
+  /// while loading the next one.
   struct Generation {
     std::mutex mu;
     GraphContext context;
@@ -152,9 +154,12 @@ class Daemon {
 
   static StatusOr<std::shared_ptr<Generation>> LoadGeneration(
       const std::string& checkpoint_path, const std::string& dataset_path,
-      int64_t batch_size, uint64_t number);
+      uint64_t number);
 
   std::shared_ptr<Generation> Current() const;
+  /// Sets stopping_ under queue_mu_ and stopped_mu_, so neither the update
+  /// thread nor Wait() can miss the wake-up, and unblocks accept().
+  void RequestStop();
   void AcceptLoop();
   void UpdateLoop();
   void ServeConnection(int fd);
@@ -164,14 +169,14 @@ class Daemon {
   DaemonOptions options_;
   int listen_fd_ = -1;
 
-  mutable std::mutex current_mu_;        ///< Guards the two pointers below.
+  mutable std::mutex current_mu_;  ///< Guards current_.
   std::shared_ptr<Generation> current_;
-  std::shared_ptr<Generation> previous_;  ///< Double buffer: kept alive.
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<SwapRequest> queue_;
 
+  /// Written only by RequestStop, under queue_mu_ and stopped_mu_.
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> queries_served_{0};
   std::atomic<uint64_t> swap_failures_{0};
@@ -191,9 +196,11 @@ class Daemon {
   std::mutex conn_mu_;
   std::list<Connection> connections_;  ///< Stable addresses for `done`.
 
-  std::mutex stopped_mu_;
+  std::mutex stopped_mu_;  ///< Wait() sleeps on stopped_cv_ under it.
   std::condition_variable stopped_cv_;
-  bool stopped_ = false;
+
+  std::mutex join_mu_;  ///< Makes Stop()'s joins happen exactly once.
+  bool joined_ = false;
 };
 
 /// Minimal blocking client for the daemon's wire protocol. One socket, one

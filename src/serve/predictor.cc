@@ -66,7 +66,6 @@ StatusOr<Predictor> Predictor::FromCheckpoint(const std::string& path,
   predictor.tag_ = checkpoint.tag;
   predictor.options_ = options;
   predictor.num_nodes_ = context.num_nodes;
-  predictor.pure_mlp_ = true;
   for (const ModelRecord& record : checkpoint.models) {
     StatusOr<std::unique_ptr<GraphModel>> model =
         ModelFromRecord(record, context);
@@ -76,26 +75,38 @@ StatusOr<Predictor> Predictor::FromCheckpoint(const std::string& path,
           "checkpoint %s: model \"%s\" has non-positive weight", path.c_str(),
           record.arch.c_str()));
     }
-    std::shared_ptr<GraphModel> shared = std::move(model.value());
-    const MlpStudent* mlp = dynamic_cast<const MlpStudent*>(shared.get());
-    if (mlp == nullptr) predictor.pure_mlp_ = false;
-    predictor.mlps_.push_back(mlp);
-    predictor.models_.push_back(std::move(shared));
+    predictor.models_.push_back(std::move(model.value()));
     predictor.weights_.push_back(record.weight);
   }
   return predictor;
 }
 
-bool Predictor::bf16_serving() const {
-  if (!pure_mlp_ || mlps_.empty()) return false;
-  for (const MlpStudent* mlp : mlps_) {
-    if (!mlp->bf16_serving()) return false;
+void Predictor::BuildTable() {
+  observe::TraceSpan span("serve/build_table", num_nodes_);
+  double weight_sum = 0.0;
+  for (double w : weights_) weight_sum += w;
+  // Weighted member average, summed in member order (deterministic at any
+  // thread count, like Teacher::PredictProbs).
+  for (size_t m = 0; m < models_.size(); ++m) {
+    Matrix member = models_[m]->PredictProbs();
+    const float scale = static_cast<float>(weights_[m] / weight_sum);
+    if (m == 0) {
+      table_ = std::move(member);
+      float* data = table_.Data();
+      for (int64_t i = 0; i < table_.size(); ++i) data[i] *= scale;
+    } else {
+      RDD_CHECK_EQ(member.rows(), table_.rows());
+      RDD_CHECK_EQ(member.cols(), table_.cols());
+      float* acc = table_.Data();
+      const float* add = member.Data();
+      for (int64_t i = 0; i < table_.size(); ++i) acc[i] += scale * add[i];
+    }
   }
-  return true;
+  models_.clear();
 }
 
 StatusOr<Matrix> Predictor::PredictProbs(const std::vector<int64_t>& nodes) {
-  if (models_.empty()) {
+  if (weights_.empty()) {
     return Status::FailedPrecondition("predictor holds no models");
   }
   for (int64_t node : nodes) {
@@ -113,64 +124,19 @@ StatusOr<Matrix> Predictor::PredictProbs(const std::vector<int64_t>& nodes) {
   static observe::Counter& batch_counter = registry.counter("serve.batches");
   static observe::Histogram& batch_ns = registry.histogram("serve.batch_ns");
   query_counter.Add(nodes.size());
-
-  double weight_sum = 0.0;
-  for (double w : weights_) weight_sum += w;
+  if (!models_.empty()) BuildTable();
 
   const int64_t total = static_cast<int64_t>(nodes.size());
-  Matrix out;
+  const int64_t cols = table_.cols();
+  Matrix out(total, cols);
   for (int64_t begin = 0; begin < total; begin += options_.batch_size) {
     const int64_t end = std::min(total, begin + options_.batch_size);
     observe::TraceSpan batch_span("serve/batch", end - begin);
     WallTimer batch_timer;
     batch_counter.Add(1);
-    const std::vector<int64_t> batch(nodes.begin() + begin,
-                                     nodes.begin() + end);
-
-    // Weighted member average, summed in insertion order (deterministic at
-    // any thread count, like Teacher::PredictProbs).
-    Matrix batch_probs;
-    for (size_t m = 0; m < models_.size(); ++m) {
-      Matrix member;  // (end - begin) x num_classes
-      if (mlps_[m] != nullptr) {
-        member = mlps_[m]->PredictProbsRows(batch);
-      } else {
-        // Honest transductive serving: the member recomputes its
-        // full-graph forward for the batch, then the queried rows are
-        // gathered. This is the latency the MLP path removes.
-        const Matrix full =
-            SoftmaxRows(models_[m]->Forward(/*training=*/false).logits.value());
-        member = Matrix(static_cast<int64_t>(batch.size()), full.cols());
-        for (size_t b = 0; b < batch.size(); ++b) {
-          const float* src = full.RowData(batch[b]);
-          float* dst = member.RowData(static_cast<int64_t>(b));
-          for (int64_t c = 0; c < full.cols(); ++c) dst[c] = src[c];
-        }
-      }
-      const float scale = static_cast<float>(weights_[m] / weight_sum);
-      if (m == 0) {
-        batch_probs = std::move(member);
-        float* data = batch_probs.Data();
-        for (int64_t i = 0; i < batch_probs.size(); ++i) data[i] *= scale;
-      } else {
-        RDD_CHECK_EQ(member.cols(), batch_probs.cols());
-        float* acc = batch_probs.Data();
-        const float* add = member.Data();
-        for (int64_t i = 0; i < batch_probs.size(); ++i) {
-          acc[i] += scale * add[i];
-        }
-      }
-    }
-
-    if (begin == 0 && end == total) {
-      out = std::move(batch_probs);
-    } else {
-      if (out.empty()) out = Matrix(total, batch_probs.cols());
-      for (int64_t b = begin; b < end; ++b) {
-        const float* src = batch_probs.RowData(b - begin);
-        float* dst = out.RowData(b);
-        for (int64_t c = 0; c < out.cols(); ++c) dst[c] = src[c];
-      }
+    for (int64_t b = begin; b < end; ++b) {
+      const float* src = table_.RowData(nodes[static_cast<size_t>(b)]);
+      std::copy(src, src + cols, out.RowData(b));
     }
     batch_ns.Record(
         static_cast<uint64_t>(batch_timer.ElapsedSeconds() * 1e9));

@@ -26,24 +26,34 @@ Checkpoint CheckpointFromRdd(const RddResult& result,
 Checkpoint CheckpointFromDistilled(const MlpStudent& student,
                                    const std::string& tag);
 
-/// Batched node-classification server over a loaded checkpoint. A Predictor
-/// owns the rebuilt models and answers queries in fixed-size batches; every
-/// batch is traced ("serve/batch" under "serve/predict") and counted
-/// (serve.queries, serve.batches, serve.batch_ns) via src/observe.
+/// Node-classification server over a loaded checkpoint. Within one loaded
+/// checkpoint the graph and the weights never change, so every node's
+/// answer is fixed: the first query computes the whole table
 ///
-/// Two serving paths, chosen by what the checkpoint holds:
-///  - MLP-Student records answer from the queried nodes' feature rows only
-///    (MlpStudent::PredictProbsRows) — no full-graph work per query.
-///  - Any other architecture runs a full-graph forward per member per batch
-///    (the honest transductive-GNN serving cost) and gathers the queried
-///    rows. Multi-member checkpoints are weight-averaged like the Teacher.
+///   probs = sum_m (w_m / sum w) * softmax(model_m.Forward(full view)),
 ///
-/// Both paths are batch-invariant: a node's prediction row is bit-identical
-/// whatever batch — or batch size — it is served in.
+/// accumulated in member order (the Teacher's Eq. 12 average; one member
+/// for a distilled MLP), and every query, the first included, is then a
+/// validated row gather from it. The rebuilt models are released once the
+/// table exists. FromCheckpoint itself runs no forward, so a hot swap loads
+/// as fast as the checkpoint parses, and the first query on the new
+/// generation pays for the table: one full-view forward per member.
+///
+/// Answers are batch-invariant by construction: a node's row is
+/// bit-identical whatever query, or batch size, it is served in. Each query
+/// is traced ("serve/predict", with "serve/build_table" on the first and
+/// one "serve/batch" per `batch_size` rows) and counted (serve.queries,
+/// serve.batches, serve.batch_ns) via src/observe.
+///
+/// Not thread-safe: concurrent PredictProbs/PredictLabels calls on one
+/// Predictor must be serialized by the caller (the daemon holds its
+/// generation lock).
 class Predictor {
  public:
   struct Options {
-    int64_t batch_size = 256;  ///< Queries per batch; must be >= 1.
+    /// Rows gathered per "serve/batch" span and serve.batch_ns sample; must
+    /// be >= 1. Answers do not depend on it.
+    int64_t batch_size = 256;
   };
 
   /// An empty predictor that serves nothing; exists for StatusOr. Use
@@ -62,8 +72,7 @@ class Predictor {
 
   /// Weight-averaged class probabilities for `nodes` (one row per query, in
   /// query order). InvalidArgument on any out-of-range node id. Non-const
-  /// because GraphModel::Forward is non-const; evaluation-mode forwards are
-  /// still deterministic.
+  /// because the first call builds the table.
   StatusOr<Matrix> PredictProbs(const std::vector<int64_t>& nodes);
 
   /// Argmax labels for `nodes`.
@@ -71,23 +80,20 @@ class Predictor {
       const std::vector<int64_t>& nodes);
 
   const std::string& tag() const { return tag_; }
-  int64_t num_models() const { return static_cast<int64_t>(models_.size()); }
-  /// True when every loaded record is an MLP-Student (row-wise fast path).
-  bool pure_mlp() const { return pure_mlp_; }
-  /// True when every loaded record is an MLP-Student serving from packed
-  /// bf16 weights (RDD_BF16=1 at load time).
-  bool bf16_serving() const;
+  int64_t num_models() const { return static_cast<int64_t>(weights_.size()); }
   int64_t batch_size() const { return options_.batch_size; }
 
  private:
+  /// Computes table_ from models_, then releases the models.
+  void BuildTable();
+
   std::string tag_;
   Options options_;
   int64_t num_nodes_ = 0;
-  std::vector<std::shared_ptr<GraphModel>> models_;
+  /// Non-empty exactly until the first query builds the table.
+  std::vector<std::unique_ptr<GraphModel>> models_;
   std::vector<double> weights_;
-  /// Parallel to models_: the member as an MlpStudent, or nullptr.
-  std::vector<const MlpStudent*> mlps_;
-  bool pure_mlp_ = false;
+  Matrix table_;  ///< num_nodes x num_classes once built.
 };
 
 }  // namespace rdd

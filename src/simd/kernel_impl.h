@@ -9,7 +9,6 @@
 //   using F32 / F64          8 float lanes / 8 double lanes
 //   Load/Store/Broadcast/Zero, Add/Sub/Mul/Div/Sqrt/Max/Fmadd (F32)
 //   MaskGtZero(x, y)         per lane: x > 0 ? y : 0
-//   LoadBf16(p)              8 bf16 lanes widened exactly to F32
 //   DZero/DCvt/DAdd/DFmadd/DStore (F64; DCvt widens 8 floats exactly)
 // Every lane op must be the IEEE-754 correctly-rounded operation (true for
 // AVX2, NEON, and the scalar emulation's std::fma/std::sqrt), which is what
@@ -24,7 +23,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "simd/bf16.h"
 #include "simd/simd.h"
 
 namespace rdd::simd::internal {
@@ -341,64 +339,6 @@ struct Kernels {
     return x[label] - log_sum;
   }
 
-  static void Bf16Pack(const float* x, uint16_t* y, int64_t n) {
-    for (int64_t i = 0; i < n; ++i) y[i] = Bf16FromF32(x[i]);
-  }
-
-  static void Bf16Unpack(const uint16_t* x, float* y, int64_t n) {
-    int64_t i = 0;
-    for (; i + 8 <= n; i += 8) P::Store(y + i, P::LoadBf16(x + i));
-    for (; i < n; ++i) y[i] = F32FromBf16(x[i]);
-  }
-
-  static void GemmRowBf16(const float* a, int64_t sa, const uint16_t* b,
-                          int64_t ldb, int64_t k, int64_t n, float* out) {
-    int64_t j = 0;
-    for (; j + 32 <= n; j += 32) {
-      float* o = out + j;
-      F32 acc0 = P::Load(o), acc1 = P::Load(o + 8);
-      F32 acc2 = P::Load(o + 16), acc3 = P::Load(o + 24);
-      const uint16_t* br = b + j;
-      for (int64_t p = 0; p < k; ++p, br += ldb) {
-        const F32 av = P::Broadcast(a[p * sa]);
-        acc0 = P::Fmadd(av, P::LoadBf16(br), acc0);
-        acc1 = P::Fmadd(av, P::LoadBf16(br + 8), acc1);
-        acc2 = P::Fmadd(av, P::LoadBf16(br + 16), acc2);
-        acc3 = P::Fmadd(av, P::LoadBf16(br + 24), acc3);
-      }
-      P::Store(o, acc0);
-      P::Store(o + 8, acc1);
-      P::Store(o + 16, acc2);
-      P::Store(o + 24, acc3);
-    }
-    for (; j + 8 <= n; j += 8) {
-      float* o = out + j;
-      F32 acc = P::Load(o);
-      const uint16_t* br = b + j;
-      for (int64_t p = 0; p < k; ++p, br += ldb) {
-        acc = P::Fmadd(P::Broadcast(a[p * sa]), P::LoadBf16(br), acc);
-      }
-      P::Store(o, acc);
-    }
-    for (; j < n; ++j) {
-      float acc = out[j];
-      const uint16_t* bp = b + j;
-      for (int64_t p = 0; p < k; ++p, bp += ldb) {
-        acc = std::fma(a[p * sa], F32FromBf16(*bp), acc);
-      }
-      out[j] = acc;
-    }
-  }
-
-  static void AxpyBf16(float a, const uint16_t* x, float* y, int64_t n) {
-    const F32 av = P::Broadcast(a);
-    int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      P::Store(y + i, P::Fmadd(av, P::LoadBf16(x + i), P::Load(y + i)));
-    }
-    for (; i < n; ++i) y[i] = std::fma(a, F32FromBf16(x[i]), y[i]);
-  }
-
   static double SqDistF64(const float* a, const float* b, int64_t n) {
     const int64_t n8 = n & ~int64_t{7};
     double r = 0.0;
@@ -462,10 +402,6 @@ KernelTable MakeTable() {
   t.bias_relu = &Kernels<P>::BiasRelu;
   t.softmax_row = &Kernels<P>::SoftmaxRow;
   t.softmax_xent_fwd_row = &Kernels<P>::SoftmaxXentFwdRow;
-  t.bf16_pack = &Kernels<P>::Bf16Pack;
-  t.bf16_unpack = &Kernels<P>::Bf16Unpack;
-  t.gemm_row_bf16 = &Kernels<P>::GemmRowBf16;
-  t.axpy_bf16 = &Kernels<P>::AxpyBf16;
   t.dot = &Kernels<P>::DotOne;
   t.sqdist_f64 = &Kernels<P>::SqDistF64;
   t.row_max = &Kernels<P>::RowMax;

@@ -21,8 +21,6 @@ struct KernelCounters {
   observe::Counter& fused_spmm_flops;
   observe::Counter& fused_xent_calls;
   observe::Counter& fused_xent_flops;
-  observe::Counter& bf16_gemm_calls;
-  observe::Counter& bf16_gemm_flops;
   observe::Counter& fusion_hits;
   observe::Counter& fusion_misses;
 };
@@ -41,8 +39,6 @@ KernelCounters& Counters() {
         r.counter("simd.fused_spmm_bias_relu.flops"),
         r.counter("simd.fused_softmax_xent.calls"),
         r.counter("simd.fused_softmax_xent.flops"),
-        r.counter("simd.bf16_gemm.calls"),
-        r.counter("simd.bf16_gemm.flops"),
         r.counter("simd.fusion.hits"),
         r.counter("simd.fusion.misses")};
     // Pull-style hit-rate: derived from the two counters at snapshot time
@@ -101,13 +97,6 @@ void RecordFusedSoftmaxXent(int64_t rows, int64_t n) {
   KernelCounters& c = Counters();
   c.fused_xent_calls.Add(1);
   c.fused_xent_flops.Add(static_cast<uint64_t>(5 * rows * n));
-}
-
-void RecordBf16Gemm(int64_t m, int64_t k, int64_t n) {
-  if (!observe::MetricsEnabled()) return;
-  KernelCounters& c = Counters();
-  c.bf16_gemm_calls.Add(1);
-  c.bf16_gemm_flops.Add(static_cast<uint64_t>(2 * m * k * n));
 }
 
 void RecordFusionHit() {

@@ -48,10 +48,6 @@ void RecordFusedSpmmBiasRelu(int64_t nnz, int64_t rows, int64_t n);
 /// unselected rows are never touched.
 void RecordFusedSoftmaxXent(int64_t rows, int64_t n);
 
-/// One GEMM with a bf16-stored B operand (serving tier): 2mkn FLOPs under
-/// "simd.bf16_gemm.*".
-void RecordBf16Gemm(int64_t m, int64_t k, int64_t n);
-
 /// Fusion-pass outcome at Variable-graph construction: a hit emitted one
 /// fused node, a miss fell back to the unfused composition (fusion disabled
 /// or the pattern did not apply, e.g. a bias-less layer). The derived gauge

@@ -37,14 +37,6 @@ struct Avx2Policy {
     return _mm256_and_ps(
         _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_GT_OQ), y);
   }
-  // bf16 -> f32 is a zero-extend to the high half of each 32-bit lane:
-  // widen the eight u16 values to u32 and shift left 16 (exact).
-  static F32 LoadBf16(const uint16_t* p) {
-    const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    return _mm256_castsi256_ps(
-        _mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16));
-  }
-
   static F64 DZero() {
     return {_mm256_setzero_pd(), _mm256_setzero_pd()};
   }

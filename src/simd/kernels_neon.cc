@@ -60,14 +60,6 @@ struct NeonPolicy {
             vreinterpretq_f32_u32(
                 vandq_u32(vcgtq_f32(x.hi, z), vreinterpretq_u32_f32(y.hi)))};
   }
-  // bf16 -> f32 is a zero-extend into the high half of each 32-bit lane
-  // (vshll widens u16 to u32 while shifting left 16 — exact).
-  static F32 LoadBf16(const uint16_t* p) {
-    const uint16x8_t raw = vld1q_u16(p);
-    return {vreinterpretq_f32_u32(vshll_n_u16(vget_low_u16(raw), 16)),
-            vreinterpretq_f32_u32(vshll_n_u16(vget_high_u16(raw), 16))};
-  }
-
   static F64 DZero() {
     const float64x2_t z = vdupq_n_f64(0.0);
     return {{z, z, z, z}};

@@ -77,12 +77,6 @@ struct ScalarPolicy {
     for (int l = 0; l < 8; ++l) r.v[l] = x.v[l] > 0.0f ? y.v[l] : 0.0f;
     return r;
   }
-  static F32 LoadBf16(const uint16_t* p) {
-    F32 r;
-    for (int l = 0; l < 8; ++l) r.v[l] = F32FromBf16(p[l]);
-    return r;
-  }
-
   static F64 DZero() {
     F64 r;
     for (int l = 0; l < 8; ++l) r.v[l] = 0.0;

@@ -97,19 +97,6 @@ struct KernelTable {
   /// double-precision exp sum, log_sum = float(log(sum)) + max.
   float (*softmax_xent_fwd_row)(const float* x, int64_t n, int64_t label);
 
-  // --- bf16 storage tier (see simd/bf16.h for the numerics policy) ---
-
-  /// y[i] = bf16(x[i]) with round-to-nearest-even (Bf16FromF32).
-  void (*bf16_pack)(const float* x, uint16_t* y, int64_t n);
-  /// y[i] = float(x[i]) — exact widening (F32FromBf16).
-  void (*bf16_unpack)(const uint16_t* x, float* y, int64_t n);
-  /// gemm_row with a bf16-stored B panel: operands widen exactly to fp32
-  /// before the same strict-order FMA chain, so the kernel keeps rule 1.
-  void (*gemm_row_bf16)(const float* a, int64_t sa, const uint16_t* b,
-                        int64_t ldb, int64_t k, int64_t n, float* out);
-  /// y = fma(a, unpack(x), y) — axpy with a bf16-stored x row.
-  void (*axpy_bf16)(float a, const uint16_t* x, float* y, int64_t n);
-
   // --- elementwise / row-wise family (rule 1) ---
 
   void (*axpy)(float a, const float* x, float* y, int64_t n);  ///< y=fma(a,x,y)

@@ -32,7 +32,6 @@ const std::vector<KnobInfo>& RegisteredKnobs() {
       {"RDD_SIMD", "auto", "simd"},
       {"RDD_REQUIRE_SIMD", "unset", "simd"},
       {"RDD_FUSE", "1", "simd"},
-      {"RDD_BF16", "0", "serve"},
       {"RDD_POOL_DISABLE", "0", "memory"},
       {"RDD_METRICS", "0", "observe"},
       {"RDD_TRACE", "unset", "observe"},

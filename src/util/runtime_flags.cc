@@ -13,33 +13,17 @@ std::atomic<bool>& FuseFlag() {
   return enabled;
 }
 
-std::atomic<bool>& Bf16Flag() {
-  static std::atomic<bool> enabled{env::BoolEnv("RDD_BF16", false)};
-  return enabled;
-}
-
 }  // namespace
 
 bool FuseEnabled() { return FuseFlag().load(std::memory_order_relaxed); }
 
-bool Bf16Enabled() { return Bf16Flag().load(std::memory_order_relaxed); }
-
 void SetFuseEnabled(bool enabled) {
   FuseFlag().store(enabled, std::memory_order_relaxed);
-}
-
-void SetBf16Enabled(bool enabled) {
-  Bf16Flag().store(enabled, std::memory_order_relaxed);
 }
 
 FuseGuard::FuseGuard(bool enabled) : previous_(FuseEnabled()) {
   SetFuseEnabled(enabled);
 }
 FuseGuard::~FuseGuard() { SetFuseEnabled(previous_); }
-
-Bf16Guard::Bf16Guard(bool enabled) : previous_(Bf16Enabled()) {
-  SetBf16Enabled(enabled);
-}
-Bf16Guard::~Bf16Guard() { SetBf16Enabled(previous_); }
 
 }  // namespace rdd::flags

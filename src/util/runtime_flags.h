@@ -17,34 +17,17 @@ namespace rdd::flags {
 /// the equivalence stays testable, not because results differ.
 bool FuseEnabled();
 
-/// RDD_BF16 (default off): serve MLP-student checkpoints from bf16-packed
-/// weights (fp32 accumulation). Opt-in because bf16 results are tolerance-
-/// equal, not bit-equal, to the fp32 tier (see DESIGN.md §12).
-bool Bf16Enabled();
-
-/// Runtime overrides for tests and benchmarks comparing both settings in
-/// one process. They only affect graphs/predictors built *after* the call.
+/// Runtime override for tests and benchmarks comparing both settings in one
+/// process. It only affects graphs built *after* the call.
 void SetFuseEnabled(bool enabled);
-void SetBf16Enabled(bool enabled);
 
-/// RAII guards restoring the previous setting on scope exit.
+/// RAII guard restoring the previous setting on scope exit.
 class FuseGuard {
  public:
   explicit FuseGuard(bool enabled);
   ~FuseGuard();
   FuseGuard(const FuseGuard&) = delete;
   FuseGuard& operator=(const FuseGuard&) = delete;
-
- private:
-  bool previous_;
-};
-
-class Bf16Guard {
- public:
-  explicit Bf16Guard(bool enabled);
-  ~Bf16Guard();
-  Bf16Guard(const Bf16Guard&) = delete;
-  Bf16Guard& operator=(const Bf16Guard&) = delete;
 
  private:
   bool previous_;

@@ -146,13 +146,12 @@ TEST(CheckpointTest, LoadedModelInfersBitIdentically) {
       ModelFromRecord(loaded->models[0], context);
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
 
-  // Same serving path on original and rebuilt model -> exact equality.
+  // Same evaluation forward on original and rebuilt model -> exact
+  // equality.
   auto* rebuilt_mlp = dynamic_cast<MlpStudent*>(rebuilt->get());
   ASSERT_NE(rebuilt_mlp, nullptr);
-  std::vector<int64_t> nodes;
-  for (int64_t i = 0; i < dataset.NumNodes(); i += 3) nodes.push_back(i);
-  const Matrix want = student.PredictLogitsRows(nodes);
-  const Matrix got = rebuilt_mlp->PredictLogitsRows(nodes);
+  const Matrix want = student.Forward(/*training=*/false).logits.value();
+  const Matrix got = rebuilt_mlp->Forward(/*training=*/false).logits.value();
   ASSERT_EQ(want.rows(), got.rows());
   ASSERT_EQ(want.cols(), got.cols());
   for (int64_t i = 0; i < want.size(); ++i) {

@@ -25,6 +25,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <cstdlib>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -321,6 +324,34 @@ TEST(DaemonTest, HotSwapAdvancesGenerationWithoutDroppingQueries) {
   EXPECT_TRUE(client->PredictLabels(nodes).ok());  // still serving gen 3
 
   std::remove(next_checkpoint.c_str());
+}
+
+TEST(DaemonTest, StopRightAfterStartReturns) {
+  DaemonFixture f;
+  f.WriteInputs();
+  const DaemonOptions options = f.Options();
+  // A stop requested while the update thread is between checking the stop
+  // flag and sleeping on its condition variable must still wake it, or
+  // Stop() joins forever. Each Start -> Stop cycle runs on a helper thread
+  // and must finish within the deadline. A hung cycle can be neither joined
+  // nor destroyed, so the process reports it and exits.
+  for (int i = 0; i < 200; ++i) {
+    std::promise<bool> done;
+    std::future<bool> started = done.get_future();
+    std::thread cycle([&options, &done] {
+      StatusOr<std::unique_ptr<Daemon>> daemon = Daemon::Start(options);
+      if (daemon.ok()) (*daemon)->Stop();
+      done.set_value(daemon.ok());
+    });
+    if (started.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      ADD_FAILURE() << "Start -> Stop cycle " << i << " did not return in 10 s";
+      std::fflush(stdout);
+      std::_Exit(1);
+    }
+    cycle.join();
+    ASSERT_TRUE(started.get()) << "Daemon::Start failed in cycle " << i;
+  }
 }
 
 TEST(DaemonTest, BoundedQueueAnswersBusyUnderBackpressure) {

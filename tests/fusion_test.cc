@@ -1,12 +1,9 @@
-// Tests for the operator-fusion layer (RDD_FUSE) and the bf16 serving tier
-// (RDD_BF16): every fused autograd chain must be bit-identical to the
-// unfused composition it replaces — forward values AND gradients, across
-// remainder-lane shapes and every supported SIMD backend — a full RddTrainer
-// run must be byte-identical with the flag on and off, and the bf16 serving
-// path must stay within its documented tolerance of fp32 while remaining
-// cross-backend deterministic itself.
+// Tests for the operator-fusion layer (RDD_FUSE): every fused autograd chain
+// must be bit-identical to the unfused composition it replaces — forward
+// values AND gradients, across remainder-lane shapes and every supported
+// SIMD backend — and a full RddTrainer run must be byte-identical with the
+// flag on and off.
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -22,7 +19,6 @@
 #include "observe/metrics.h"
 #include "parallel/parallel_for.h"
 #include "simd/simd.h"
-#include "tensor/bf16.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
 #include "tensor/sparse.h"
@@ -299,15 +295,15 @@ TEST(FusionEndToEndTest, MlpStudentServingIsFuseFlagInvariant) {
   config.test_size = 25;
   const Dataset dataset = GenerateCitationNetwork(config, 18);
   const GraphContext context = GraphContext::FromDataset(dataset);
-  std::vector<int64_t> nodes;
-  for (int64_t i = 0; i < dataset.NumNodes(); i += 3) nodes.push_back(i);
 
+  // The Predictor serves a student from its evaluation-mode full-view
+  // forward, so that is the serving output pinned here.
   for (int64_t depth : {int64_t{1}, int64_t{2}, int64_t{4}}) {
     MlpStudent student(context, depth, 16, 0.5f, /*seed=*/7);
     Matrix logits[2];
     for (int pass = 0; pass < 2; ++pass) {
       flags::FuseGuard fuse(pass == 1);
-      logits[pass] = student.PredictLogitsRows(nodes);
+      logits[pass] = student.Forward(/*training=*/false).logits.value();
     }
     SCOPED_TRACE(testing::Message() << "depth=" << depth);
     ExpectByteIdentical(logits[0], logits[1], "serving logits");
@@ -382,104 +378,6 @@ TEST(FusionStatsTest, FusedCallsAttributeFlopsOnceAndDriveHitRate) {
     }
   }
   EXPECT_TRUE(found) << "hit-rate gauge not registered";
-}
-
-// ---------------------------------------------------------------------------
-// bf16 serving tier: deterministic in itself, tolerance-equal to fp32.
-// ---------------------------------------------------------------------------
-
-TEST(Bf16TierTest, MatmulBf16IsBackendAndThreadInvariant) {
-  BackendGuard backend_guard;
-  ThreadCountGuard thread_guard;
-  Rng rng(43);
-  const Matrix a = RandomMatrix(33, 64, &rng);
-  const Matrix b = RandomMatrix(64, 17, &rng);
-  const Matrix bias = RandomMatrix(1, 17, &rng);
-
-  SetBackend(Backend::kScalar);
-  parallel::SetNumThreads(1);
-  const Bf16Matrix packed_ref = Bf16Matrix::Pack(b);
-  const Matrix ref = MatmulBf16(a, packed_ref);
-  const Matrix ref_fused = MatmulBf16BiasRelu(a, packed_ref, bias);
-
-  for (const auto& combo : Combos()) {
-    SCOPED_TRACE(testing::Message() << "backend=" << BackendName(combo.first)
-                                    << " threads=" << combo.second);
-    SetBackend(combo.first);
-    parallel::SetNumThreads(combo.second);
-    const Bf16Matrix packed = Bf16Matrix::Pack(b);
-    ExpectByteIdentical(MatmulBf16(a, packed), ref, "bf16 gemm");
-    ExpectByteIdentical(MatmulBf16BiasRelu(a, packed, bias), ref_fused,
-                        "bf16 gemm + bias_relu");
-  }
-}
-
-TEST(Bf16TierTest, MatmulBf16TracksFp32WithinMantissaTolerance) {
-  Rng rng(44);
-  const int64_t k = 64;
-  const Matrix a = RandomMatrix(20, k, &rng);
-  const Matrix b = RandomMatrix(k, 9, &rng);
-  const Matrix fp32 = Matmul(a, b);
-  const Matrix bf16 = MatmulBf16(a, Bf16Matrix::Pack(b));
-  // Each of the k products carries one bf16 rounding of relative size
-  // 2^-9; the row-sum error is bounded by sum_p |a_p b_p| * 2^-9.
-  for (int64_t i = 0; i < fp32.rows(); ++i) {
-    for (int64_t j = 0; j < fp32.cols(); ++j) {
-      double magnitude = 0.0;
-      for (int64_t p = 0; p < k; ++p) {
-        magnitude += std::fabs(a.At(i, p)) * std::fabs(b.At(p, j));
-      }
-      EXPECT_NEAR(bf16.At(i, j), fp32.At(i, j),
-                  magnitude * std::ldexp(1.0, -9) + 1e-6)
-          << "(" << i << ", " << j << ")";
-    }
-  }
-}
-
-TEST(Bf16TierTest, PackUnpackRoundTripLosesOnlyPackRounding) {
-  Rng rng(45);
-  const Matrix m = RandomMatrix(13, 21, &rng);
-  const Matrix round_trip = Bf16Matrix::Pack(m).Unpack();
-  const Matrix twice = Bf16Matrix::Pack(round_trip).Unpack();
-  // Unpack is exact, so a second pack/unpack is the identity.
-  ExpectByteIdentical(round_trip, twice, "second round trip");
-  EXPECT_TRUE(m.ApproxEquals(round_trip, 0.02f));
-}
-
-TEST(Bf16TierTest, MlpStudentBf16ServingStaysWithinTolerance) {
-  CitationGenConfig config;
-  config.num_nodes = 120;
-  config.num_features = 40;
-  config.num_edges = 300;
-  config.num_classes = 3;
-  config.labeled_per_class = 5;
-  config.val_size = 15;
-  config.test_size = 25;
-  const Dataset dataset = GenerateCitationNetwork(config, 19);
-  const GraphContext context = GraphContext::FromDataset(dataset);
-  std::vector<int64_t> nodes;
-  for (int64_t i = 0; i < dataset.NumNodes(); ++i) nodes.push_back(i);
-
-  MlpStudent student(context, 3, 16, 0.5f, /*seed=*/11);
-  EXPECT_FALSE(student.bf16_serving());
-  const Matrix fp32_probs = student.PredictProbsRows(nodes);
-  student.EnableBf16Serving();
-  EXPECT_TRUE(student.bf16_serving());
-  const Matrix bf16_probs = student.PredictProbsRows(nodes);
-  ASSERT_EQ(bf16_probs.rows(), fp32_probs.rows());
-  ASSERT_EQ(bf16_probs.cols(), fp32_probs.cols());
-  // Probabilities move by at most a few parts in a thousand under the
-  // 2^-9 relative weight perturbation; argmax almost never flips, and when
-  // it does the two classes were statistically tied anyway.
-  EXPECT_TRUE(bf16_probs.ApproxEquals(fp32_probs, 0.02f));
-  const std::vector<int64_t> fp32_labels = ArgmaxRows(fp32_probs);
-  const std::vector<int64_t> bf16_labels = ArgmaxRows(bf16_probs);
-  int64_t agree = 0;
-  for (size_t i = 0; i < fp32_labels.size(); ++i) {
-    agree += fp32_labels[i] == bf16_labels[i] ? 1 : 0;
-  }
-  EXPECT_GE(static_cast<double>(agree),
-            0.97 * static_cast<double>(fp32_labels.size()));
 }
 
 }  // namespace

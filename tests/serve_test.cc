@@ -12,8 +12,8 @@
 #include "data/citation_gen.h"
 #include "models/mlp_student.h"
 #include "models/model_io.h"
+#include "observe/metrics.h"
 #include "tensor/ops.h"
-#include "util/runtime_flags.h"
 
 namespace rdd {
 namespace {
@@ -42,6 +42,17 @@ void ExpectSameMatrix(const Matrix& a, const Matrix& b) {
   }
 }
 
+/// The rows `nodes` of `m`, in query order.
+Matrix Rows(const Matrix& m, const std::vector<int64_t>& nodes) {
+  Matrix out(static_cast<int64_t>(nodes.size()), m.cols());
+  for (size_t b = 0; b < nodes.size(); ++b) {
+    for (int64_t c = 0; c < m.cols(); ++c) {
+      out.At(static_cast<int64_t>(b), c) = m.At(nodes[b], c);
+    }
+  }
+  return out;
+}
+
 TEST(PredictorTest, MlpCheckpointMatchesInMemoryStudent) {
   const Dataset dataset = TinyDataset(1);
   const GraphContext context = GraphContext::FromDataset(dataset);
@@ -52,7 +63,6 @@ TEST(PredictorTest, MlpCheckpointMatchesInMemoryStudent) {
 
   StatusOr<Predictor> predictor = Predictor::FromCheckpoint(path, context);
   ASSERT_TRUE(predictor.ok()) << predictor.status().ToString();
-  EXPECT_TRUE(predictor->pure_mlp());
   EXPECT_EQ(predictor->num_models(), 1);
   EXPECT_EQ(predictor->tag(), "mlp");
 
@@ -60,7 +70,7 @@ TEST(PredictorTest, MlpCheckpointMatchesInMemoryStudent) {
   for (int64_t i = 0; i < dataset.NumNodes(); i += 2) nodes.push_back(i);
   StatusOr<Matrix> probs = predictor->PredictProbs(nodes);
   ASSERT_TRUE(probs.ok());
-  ExpectSameMatrix(*probs, student.PredictProbsRows(nodes));
+  ExpectSameMatrix(*probs, Rows(student.PredictProbs(), nodes));
   std::remove(path.c_str());
 }
 
@@ -108,7 +118,6 @@ TEST(PredictorTest, GnnCheckpointMatchesFullGraphForward) {
 
   StatusOr<Predictor> predictor = Predictor::FromCheckpoint(path, context);
   ASSERT_TRUE(predictor.ok()) << predictor.status().ToString();
-  EXPECT_FALSE(predictor->pure_mlp());
 
   const Matrix full =
       SoftmaxRows(gcn->Forward(/*training=*/false).logits.value());
@@ -178,49 +187,48 @@ TEST(PredictorTest, LabelsAreArgmaxOfProbs) {
   std::remove(path.c_str());
 }
 
-TEST(PredictorTest, Bf16CheckpointLoadServesWithinToleranceOfFp32) {
+/// simd.gemm.calls + simd.spmm.calls so far (counted while metrics are on).
+uint64_t KernelCalls() {
+  auto& registry = observe::MetricsRegistry::Global();
+  return registry.counter("simd.gemm.calls").value() +
+         registry.counter("simd.spmm.calls").value();
+}
+
+TEST(PredictorTest, RepeatQueriesRunNoKernel) {
+  const bool metrics_were_on = observe::MetricsEnabled();
+  observe::SetMetricsEnabled(true);
   const Dataset dataset = TinyDataset(8);
   const GraphContext context = GraphContext::FromDataset(dataset);
   MlpStudent student(context, 3, 16, 0.5f, /*seed=*/12);
-  const std::string path = TempPath("serve_bf16.rddc");
+  ModelConfig gcn_config;
+  gcn_config.kind = ModelKind::kGcn;
+  gcn_config.hidden_dim = 8;
+  auto gcn = BuildModel(context, gcn_config, /*seed=*/13);
+  Checkpoint gnn;
+  gnn.tag = "gnn";
+  gnn.models.push_back(RecordFromModel(*gcn, gcn_config, 1.0));
+  const std::string mlp_path = TempPath("serve_repeat_mlp.rddc");
+  const std::string gnn_path = TempPath("serve_repeat_gnn.rddc");
   ASSERT_TRUE(
-      SaveCheckpoint(CheckpointFromDistilled(student, "bf16"), path).ok());
+      SaveCheckpoint(CheckpointFromDistilled(student, "mlp"), mlp_path).ok());
+  ASSERT_TRUE(SaveCheckpoint(gnn, gnn_path).ok());
 
-  std::vector<int64_t> nodes;
-  for (int64_t i = 0; i < dataset.NumNodes(); ++i) nodes.push_back(i);
-
-  Matrix fp32_probs;
-  {
-    flags::Bf16Guard bf16(false);
+  for (const std::string& path : {mlp_path, gnn_path}) {
+    SCOPED_TRACE(path);
     StatusOr<Predictor> predictor = Predictor::FromCheckpoint(path, context);
-    ASSERT_TRUE(predictor.ok());
-    EXPECT_FALSE(predictor->bf16_serving());
-    StatusOr<Matrix> probs = predictor->PredictProbs(nodes);
-    ASSERT_TRUE(probs.ok());
-    fp32_probs = *probs;
+    ASSERT_TRUE(predictor.ok()) << predictor.status().ToString();
+    const uint64_t at_load = KernelCalls();
+    ASSERT_TRUE(predictor->PredictProbs({3, 1, 4}).ok());
+    const uint64_t after_first = KernelCalls();
+    EXPECT_GT(after_first, at_load) << "the first query computes the table";
+    StatusOr<Matrix> again = predictor->PredictProbs({1, 5, 9, 2, 6});
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(KernelCalls(), after_first)
+        << "a repeat query must be a row gather";
   }
-  {
-    flags::Bf16Guard bf16(true);
-    StatusOr<Predictor> predictor = Predictor::FromCheckpoint(path, context);
-    ASSERT_TRUE(predictor.ok());
-    EXPECT_TRUE(predictor->pure_mlp());
-    EXPECT_TRUE(predictor->bf16_serving());
-    StatusOr<Matrix> bf16_probs = predictor->PredictProbs(nodes);
-    ASSERT_TRUE(bf16_probs.ok());
-    // The bf16 tier is tolerance-equal, never bit-equal: probabilities stay
-    // within a couple percent and labels almost always agree (flips only
-    // happen on statistically tied rows).
-    EXPECT_TRUE(bf16_probs->ApproxEquals(fp32_probs, 0.02f));
-    const std::vector<int64_t> want = ArgmaxRows(fp32_probs);
-    const std::vector<int64_t> got = ArgmaxRows(*bf16_probs);
-    int64_t agree = 0;
-    for (size_t i = 0; i < want.size(); ++i) {
-      agree += want[i] == got[i] ? 1 : 0;
-    }
-    EXPECT_GE(static_cast<double>(agree),
-              0.97 * static_cast<double>(want.size()));
-  }
-  std::remove(path.c_str());
+  std::remove(mlp_path.c_str());
+  std::remove(gnn_path.c_str());
+  observe::SetMetricsEnabled(metrics_were_on);
 }
 
 TEST(PredictorTest, OutOfRangeNodeIsInvalidArgument) {
@@ -309,8 +317,8 @@ TEST(DistillTest, DistilledStudentTracksTeacher) {
   ASSERT_TRUE(predictor.ok());
   StatusOr<Matrix> probs = predictor->PredictProbs(dataset.split.test);
   ASSERT_TRUE(probs.ok());
-  ExpectSameMatrix(*probs,
-                   distilled.student->PredictProbsRows(dataset.split.test));
+  ExpectSameMatrix(*probs, Rows(distilled.student->PredictProbs(),
+                                dataset.split.test));
   std::remove(path.c_str());
 }
 
@@ -332,9 +340,8 @@ TEST(DistillTest, DeterministicAcrossRuns) {
       DistillToMlp(dataset, context, rdd.teacher, distill_config, /*seed=*/4);
   const DistillResult b =
       DistillToMlp(dataset, context, rdd.teacher, distill_config, /*seed=*/4);
-  const std::vector<int64_t> nodes = {0, 7, 21};
-  ExpectSameMatrix(a.student->PredictLogitsRows(nodes),
-                   b.student->PredictLogitsRows(nodes));
+  ExpectSameMatrix(a.student->Forward(/*training=*/false).logits.value(),
+                   b.student->Forward(/*training=*/false).logits.value());
   EXPECT_EQ(a.student_test_accuracy, b.student_test_accuracy);
   EXPECT_EQ(a.report.epochs_run, b.report.epochs_run);
 }

@@ -16,7 +16,6 @@
 #include "core/rdd_trainer.h"
 #include "data/citation_gen.h"
 #include "parallel/parallel_for.h"
-#include "simd/bf16.h"
 #include "simd/simd.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
@@ -300,100 +299,6 @@ TEST_F(SimdKernelTest, FusedBiasReluComposesAddAndReluExactly) {
     std::vector<float> unfused(static_cast<size_t>(n));
     D().relu(summed.data(), unfused.data(), n);
     ExpectBitEqual(fused, unfused, "bias_relu vs add;relu");
-  }
-}
-
-TEST_F(SimdKernelTest, Bf16PackUnpackMatchScalarAcrossShapes) {
-  Rng rng(29);
-  for (int64_t n : kSizes) {
-    const auto x = RandomVec(n, &rng);
-    std::vector<uint16_t> qs(static_cast<size_t>(n)),
-        qd(static_cast<size_t>(n));
-    S().bf16_pack(x.data(), qs.data(), n);
-    D().bf16_pack(x.data(), qd.data(), n);
-    for (size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_EQ(qs[i], qd[i]) << "bf16_pack at [" << i << "]";
-    }
-    std::vector<float> us(static_cast<size_t>(n)), ud(static_cast<size_t>(n));
-    S().bf16_unpack(qs.data(), us.data(), n);
-    D().bf16_unpack(qs.data(), ud.data(), n);
-    ExpectBitEqual(us, ud, "bf16_unpack");
-    // Round-to-nearest-even loses at most half a ulp of the 8-bit mantissa.
-    for (int64_t i = 0; i < n; ++i) {
-      const size_t s = static_cast<size_t>(i);
-      EXPECT_LE(std::fabs(us[s] - x[s]),
-                std::ldexp(std::fabs(x[s]), -8) + 1e-38f)
-          << "bf16 round trip at [" << i << "]";
-    }
-  }
-}
-
-TEST(Bf16ScalarTest, GoldenValues) {
-  // 1.0f keeps its upper half exactly.
-  EXPECT_EQ(simd::Bf16FromF32(1.0f), 0x3F80u);
-  // Round-to-nearest-even at the halfway point: 0x3F808000 is exactly
-  // between 0x3F80 and 0x3F81, so it rounds to the even 0x3F80; 0x3F818000
-  // is between 0x3F81 and 0x3F82 and rounds to the even 0x3F82.
-  const auto from_bits = [](uint32_t u) {
-    float f;
-    std::memcpy(&f, &u, sizeof(f));
-    return f;
-  };
-  EXPECT_EQ(simd::Bf16FromF32(from_bits(0x3F808000u)), 0x3F80u);
-  EXPECT_EQ(simd::Bf16FromF32(from_bits(0x3F818000u)), 0x3F82u);
-  // Just above the halfway point rounds up regardless of parity.
-  EXPECT_EQ(simd::Bf16FromF32(from_bits(0x3F808001u)), 0x3F81u);
-  // Exactly-representable values survive the round trip untouched.
-  for (float v : {-2.5f, 0.0f, -0.0f, 96.0f, 1.0f / 256.0f}) {
-    EXPECT_EQ(simd::F32FromBf16(simd::Bf16FromF32(v)), v);
-  }
-  // Infinity stays infinity (the +0x7FFF carry path must not touch it).
-  const float inf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(simd::F32FromBf16(simd::Bf16FromF32(inf)), inf);
-  EXPECT_EQ(simd::F32FromBf16(simd::Bf16FromF32(-inf)), -inf);
-  // A finite value that rounds past the largest bf16 normal overflows to
-  // infinity, matching fp32 RTNE semantics.
-  EXPECT_EQ(simd::F32FromBf16(
-                simd::Bf16FromF32(std::numeric_limits<float>::max())),
-            inf);
-  // NaN is preserved (and quieted, never turned into infinity).
-  const uint16_t nan_bits =
-      simd::Bf16FromF32(std::numeric_limits<float>::quiet_NaN());
-  EXPECT_TRUE(std::isnan(simd::F32FromBf16(nan_bits)));
-  const uint16_t snan_bits = simd::Bf16FromF32(from_bits(0x7F800001u));
-  EXPECT_TRUE(std::isnan(simd::F32FromBf16(snan_bits)));
-}
-
-TEST_F(SimdKernelTest, Bf16GemmRowMatchesScalarAcrossShapes) {
-  Rng rng(30);
-  for (int64_t n : kSizes) {
-    for (int64_t k : {int64_t{0}, int64_t{1}, int64_t{5}, int64_t{17},
-                      int64_t{64}, int64_t{300}}) {
-      const auto a = RandomVec(std::max<int64_t>(k, 1), &rng);
-      const auto bf = RandomVec(std::max<int64_t>(k * n, 1), &rng);
-      std::vector<uint16_t> b(bf.size());
-      S().bf16_pack(bf.data(), b.data(), static_cast<int64_t>(bf.size()));
-      const auto seed_out = RandomVec(n, &rng);
-      auto out_s = seed_out;
-      auto out_d = seed_out;
-      S().gemm_row_bf16(a.data(), 1, b.data(), n, k, n, out_s.data());
-      D().gemm_row_bf16(a.data(), 1, b.data(), n, k, n, out_d.data());
-      ExpectBitEqual(out_s, out_d, "gemm_row_bf16");
-    }
-  }
-}
-
-TEST_F(SimdKernelTest, Bf16AxpyMatchesScalarAcrossShapes) {
-  Rng rng(31);
-  for (int64_t n : kSizes) {
-    const auto xf = RandomVec(n, &rng);
-    std::vector<uint16_t> x(static_cast<size_t>(n));
-    S().bf16_pack(xf.data(), x.data(), n);
-    const auto y0 = RandomVec(n, &rng);
-    auto ys = y0, yd = y0;
-    S().axpy_bf16(0.85f, x.data(), ys.data(), n);
-    D().axpy_bf16(0.85f, x.data(), yd.data(), n);
-    ExpectBitEqual(ys, yd, "axpy_bf16");
   }
 }
 
